@@ -17,7 +17,7 @@
 //! $ printf 'EPOCH\nDETECT\nAPPLY +519,7,Zoe,Pine%%20St.,Albany,12239\nSYNC\nDETECT\nQUIT\n' | nc 127.0.0.1 7878
 //! ```
 
-use ecfd_serve::{Client, Follower, ServeConfig, Server, ShardedConfig, ShardedServer};
+use ecfd_serve::{Client, Follower, ServeConfig, Server, ShardedConfig};
 use ecfd_session::Session;
 use std::path::Path;
 use std::time::Duration;
@@ -32,7 +32,7 @@ struct Args {
     wal_dir: Option<String>,
     recover: bool,
     follow: Option<String>,
-    shards: Option<usize>,
+    shards: usize,
     shard_key: Option<String>,
 }
 
@@ -48,7 +48,7 @@ impl Args {
             wal_dir: None,
             recover: false,
             follow: None,
-            shards: None,
+            shards: 1,
             shard_key: None,
         };
         let mut it = std::env::args().skip(1);
@@ -65,7 +65,7 @@ impl Args {
                 "--wal-dir" => args.wal_dir = Some(value("--wal-dir")?),
                 "--recover" => args.recover = true,
                 "--follow" => args.follow = Some(value("--follow")?),
-                "--shards" => args.shards = Some(parse_num(&value("--shards")?)?),
+                "--shards" => args.shards = parse_num(&value("--shards")?)?,
                 "--shard-key" => args.shard_key = Some(value("--shard-key")?),
                 "--help" | "-h" => {
                     println!(
@@ -75,9 +75,10 @@ impl Args {
                          \x20            [--shards N --shard-key ATTR]\n\
                          Without --csv, serves the paper's demo instance (Fig. 1 + φ1/φ2).\n\
                          --wal-dir makes writes durable; --recover replays an existing log;\n\
-                         --follow replicates a durable leader into this server;\n\
-                         --shards partitions rows by the hashed --shard-key value into N\n\
-                         independent writers behind a cross-shard merge layer."
+                         --follow replicates a durable one-shard leader into this server;\n\
+                         --shards N (default 1) partitions rows by the hashed --shard-key\n\
+                         value into N writers behind a cross-shard merge layer; the key is\n\
+                         required only when N > 1, and --follow only works with N = 1."
                     );
                     std::process::exit(0);
                 }
@@ -87,15 +88,15 @@ impl Args {
         if args.recover && args.wal_dir.is_none() {
             return Err("--recover needs --wal-dir".to_string());
         }
-        match (&args.shards, &args.shard_key) {
-            (Some(n), _) if *n == 0 => return Err("--shards must be at least 1".to_string()),
-            (Some(_), None) => return Err("--shards needs --shard-key ATTR".to_string()),
-            (None, Some(_)) => return Err("--shard-key needs --shards N".to_string()),
-            _ => {}
+        if args.shards == 0 {
+            return Err("--shards must be at least 1".to_string());
         }
-        if args.shards.is_some() && args.follow.is_some() {
-            return Err("--follow cannot combine with --shards (follow a single \
-                        shard's log instead)"
+        if args.shards > 1 && args.shard_key.is_none() {
+            return Err("--shards N > 1 needs --shard-key ATTR".to_string());
+        }
+        if args.shards > 1 && args.follow.is_some() {
+            return Err("--follow replicates into one shard only; drop --shards \
+                        or pass --shards 1"
                 .to_string());
         }
         Ok(args)
@@ -187,16 +188,12 @@ fn main() {
         ..ServeConfig::default()
     };
     let sync_timeout = config.sync_timeout;
-
-    if let Some(shards) = args.shards {
-        run_sharded(&args, shards, session, config);
-        return;
-    }
+    let sharding = ShardedConfig::new(args.shards, args.shard_key.as_deref().unwrap_or(""));
 
     let server = match &args.wal_dir {
         Some(dir) => {
             let dir = Path::new(dir);
-            if !args.recover && wal_has_records(dir) {
+            if !args.recover && wal_has_records(&sharding, dir) {
                 eprintln!(
                     "serve: {} already holds a WAL with records; pass --recover to \
                      replay it (or point --wal-dir at an empty directory)",
@@ -204,17 +201,23 @@ fn main() {
                 );
                 std::process::exit(2);
             }
-            match Server::bind_durable(session, config, dir) {
-                Ok((server, recovery)) => {
-                    println!(
-                        "recovered {} delta(s) to ticket {} ({} checkpoint(s) verified, \
-                         {} apply error(s), {} torn byte(s) dropped)",
-                        recovery.deltas_applied,
-                        recovery.last_ticket,
-                        recovery.checkpoints_verified,
-                        recovery.apply_errors,
-                        recovery.truncated_bytes,
-                    );
+            match Server::bind_durable(session, config, &sharding, dir) {
+                Ok((server, recoveries)) => {
+                    for (s, recovery) in recoveries.iter().enumerate() {
+                        let shard = match args.shards {
+                            1 => String::new(),
+                            _ => format!("shard {s}: "),
+                        };
+                        println!(
+                            "{shard}recovered {} delta(s) to ticket {} ({} checkpoint(s) \
+                             verified, {} apply error(s), {} torn byte(s) dropped)",
+                            recovery.deltas_applied,
+                            recovery.last_ticket,
+                            recovery.checkpoints_verified,
+                            recovery.apply_errors,
+                            recovery.truncated_bytes,
+                        );
+                    }
                     server
                 }
                 Err(e) => {
@@ -223,7 +226,7 @@ fn main() {
                 }
             }
         }
-        None => match Server::bind(session, config) {
+        None => match Server::bind(session, config, &sharding) {
             Ok(server) => server,
             Err(e) => {
                 eprintln!("serve: {e}");
@@ -232,7 +235,10 @@ fn main() {
         },
     };
     let addr = server.local_addr().expect("bound listener has an address");
-    println!("serving on {addr}");
+    match args.shards {
+        1 => println!("serving on {addr}"),
+        n => println!("serving on {addr} ({n} shard(s) by {})", sharding.shard_key),
+    }
     println!("protocol: PING | EPOCH | DETECT [FRESH] | CHECK | EXPLAIN [PLAN] | APPLY +f,… -f,… | SYNC | REPLAY c [n] | REPAIR-PLAN | STATS [prefix] | INFO | QUIT");
 
     if let Some(leader) = args.follow.clone() {
@@ -269,7 +275,7 @@ fn main() {
 
     let hub = server.handle().hub().clone();
     match server.run() {
-        Ok(_session) => {
+        Ok(_sessions) => {
             println!("shut down cleanly; final metrics:");
             print!("{}", hub.metrics().render());
         }
@@ -280,76 +286,11 @@ fn main() {
     }
 }
 
-/// The sharded serving path behind `--shards N --shard-key ATTR`.
-fn run_sharded(args: &Args, shards: usize, session: Session, config: ServeConfig) {
-    let shard_key = args.shard_key.as_deref().expect("validated by Args::parse");
-    let sharding = ShardedConfig::new(shards, shard_key);
-    let server = match &args.wal_dir {
-        Some(dir) => {
-            let dir = Path::new(dir);
-            if !args.recover && sharded_wal_has_records(dir, shards) {
-                eprintln!(
-                    "serve: {} already holds shard WALs with records; pass --recover to \
-                     replay them (or point --wal-dir at an empty directory)",
-                    dir.display()
-                );
-                std::process::exit(2);
-            }
-            match ShardedServer::bind_durable(session, config, &sharding, dir) {
-                Ok((server, recoveries)) => {
-                    for (s, recovery) in recoveries.iter().enumerate() {
-                        println!(
-                            "shard {s}: recovered {} delta(s) to ticket {} ({} checkpoint(s) \
-                             verified, {} apply error(s), {} torn byte(s) dropped)",
-                            recovery.deltas_applied,
-                            recovery.last_ticket,
-                            recovery.checkpoints_verified,
-                            recovery.apply_errors,
-                            recovery.truncated_bytes,
-                        );
-                    }
-                    server
-                }
-                Err(e) => {
-                    eprintln!("serve: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => match ShardedServer::bind(session, config, &sharding) {
-            Ok(server) => server,
-            Err(e) => {
-                eprintln!("serve: {e}");
-                std::process::exit(1);
-            }
-        },
-    };
-    let addr = server.local_addr().expect("bound listener has an address");
-    println!("serving on {addr} ({shards} shard(s) by {shard_key})");
-    println!("protocol: PING | EPOCH | DETECT [FRESH] | CHECK | EXPLAIN [PLAN] | APPLY +f,… -f,… | SYNC | REPAIR-PLAN | STATS [prefix] | INFO | QUIT");
-    match server.run() {
-        Ok(_sessions) => {
-            println!("shut down cleanly; final metrics:");
-            print!("{}", ecfd_obs::registry().render());
-        }
-        Err(e) => {
-            eprintln!("serve: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// True when `dir` already holds a WAL file with at least one record (a
-/// bare magic header counts as empty, as does a missing file).
-fn wal_has_records(dir: &Path) -> bool {
-    let path = dir.join(ecfd_wal::WAL_FILE_NAME);
-    match ecfd_wal::read_records(&path) {
-        Ok(records) => !records.is_empty(),
-        Err(_) => false,
-    }
-}
-
-/// [`wal_has_records`] over every `shard-N/` segment of a sharded WAL dir.
-fn sharded_wal_has_records(dir: &Path, shards: usize) -> bool {
-    (0..shards).any(|s| wal_has_records(&dir.join(format!("shard-{s}"))))
+/// True when any shard's WAL under `dir` holds at least one record (a bare
+/// magic header counts as empty, as does a missing file).
+fn wal_has_records(sharding: &ShardedConfig, dir: &Path) -> bool {
+    (0..sharding.num_shards).any(|s| {
+        let path = sharding.shard_wal_dir(dir, s).join(ecfd_wal::WAL_FILE_NAME);
+        ecfd_wal::read_records(&path).is_ok_and(|records| !records.is_empty())
+    })
 }

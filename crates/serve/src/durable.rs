@@ -10,7 +10,7 @@
 //! the checkpoint records' report hashes let recovery prove it did.
 
 use crate::ingest::Ticket;
-use crate::{Result, ServeError};
+use crate::{shard_labels, Result, ServeError};
 use ecfd_detect::DetectionReport;
 use ecfd_obs::{Counter, Histogram};
 use ecfd_relation::{Delta, RowId};
@@ -36,23 +36,13 @@ impl SinkMetrics {
     /// series carries a `shard` label (one WAL segment per shard).
     fn fetch(shard: Option<u32>) -> Self {
         let registry = ecfd_obs::registry();
-        match shard {
-            None => SinkMetrics {
-                appends: registry.counter("wal.append.count"),
-                bytes: registry.counter("wal.bytes"),
-                fsyncs: registry.counter("wal.fsync.count"),
-                fsync_latency: registry.histogram("wal.fsync.ns"),
-            },
-            Some(shard) => {
-                let shard = shard.to_string();
-                let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
-                SinkMetrics {
-                    appends: registry.counter_with("wal.append.count", labels),
-                    bytes: registry.counter_with("wal.bytes", labels),
-                    fsyncs: registry.counter_with("wal.fsync.count", labels),
-                    fsync_latency: registry.histogram_with("wal.fsync.ns", labels),
-                }
-            }
+        let shard = shard.map(|s| s.to_string());
+        let labels = &shard_labels(&shard);
+        SinkMetrics {
+            appends: registry.counter_with("wal.append.count", labels),
+            bytes: registry.counter_with("wal.bytes", labels),
+            fsyncs: registry.counter_with("wal.fsync.count", labels),
+            fsync_latency: registry.histogram_with("wal.fsync.ns", labels),
         }
     }
 
@@ -298,10 +288,8 @@ impl RecoveryReport {
     pub(crate) fn export_metrics(&self, shard: Option<u32>) {
         let registry = ecfd_obs::registry();
         let shard = shard.map(|s| s.to_string());
-        let gauge = |name: &str| match &shard {
-            None => registry.gauge(name),
-            Some(s) => registry.gauge_with(name, &[("shard", s.as_str())]),
-        };
+        let labels = shard_labels(&shard);
+        let gauge = |name: &str| registry.gauge_with(name, &labels);
         gauge("wal.recovery.deltas").set(self.deltas_applied as i64);
         gauge("wal.recovery.apply.errors").set(self.apply_errors as i64);
         gauge("wal.recovery.checkpoints.verified").set(self.checkpoints_verified as i64);

@@ -23,11 +23,12 @@ pub struct ServeStats {
     pub write_errors: u64,
 }
 
-/// The shared core of a serving deployment: the [`SnapshotStore`] readers
+/// The shared core of one serving pipeline: the [`SnapshotStore`] readers
 /// poll, the [`IngestQueue`] producers feed, and the shutdown/error
-/// bookkeeping that ties the threads together. The TCP [`Server`] is a thin
-/// wrapper around a `Hub`; benchmarks and in-process embedders use it
-/// directly.
+/// bookkeeping that ties the threads together. A
+/// [`ShardedHub`](crate::ShardedHub) — what the TCP [`Server`] serves —
+/// holds one `Hub` per shard; benchmarks and in-process embedders also use
+/// a `Hub` directly.
 ///
 /// [`Server`]: crate::Server
 pub struct Hub {
@@ -39,9 +40,6 @@ pub struct Hub {
     /// Present in durable mode: the ticket-ordered WAL sink plus the log
     /// path the `REPLAY` verb reads from.
     durable: Option<DurableState>,
-    /// Set when this hub is fed by a [`Follower`](crate::Follower) replaying
-    /// a leader's WAL, as reported by `INFO`.
-    follower: AtomicBool,
 }
 
 struct DurableState {
@@ -72,15 +70,7 @@ impl Hub {
     /// [`Hub::new`] with a caller-built queue (e.g. one whose metric series
     /// carry a shard label).
     pub(crate) fn with_queue(initial: Snapshot, queue: IngestQueue) -> Arc<Self> {
-        Arc::new(Hub {
-            store: SnapshotStore::new(initial),
-            queue,
-            shutdown: AtomicBool::new(false),
-            write_errors: AtomicU64::new(0),
-            last_error: Mutex::new(None),
-            durable: None,
-            follower: AtomicBool::new(false),
-        })
+        Hub::build(initial, queue, None)
     }
 
     /// Creates a durable hub: a custom queue (its ticket sequence continues
@@ -93,18 +83,22 @@ impl Hub {
         wal_path: PathBuf,
         recovered: bool,
     ) -> Arc<Self> {
+        let durable = DurableState {
+            sink,
+            wal_path,
+            recovered,
+        };
+        Hub::build(initial, queue, Some(durable))
+    }
+
+    fn build(initial: Snapshot, queue: IngestQueue, durable: Option<DurableState>) -> Arc<Self> {
         Arc::new(Hub {
             store: SnapshotStore::new(initial),
             queue,
             shutdown: AtomicBool::new(false),
             write_errors: AtomicU64::new(0),
             last_error: Mutex::new(None),
-            durable: Some(DurableState {
-                sink,
-                wal_path,
-                recovered,
-            }),
-            follower: AtomicBool::new(false),
+            durable,
         })
     }
 
@@ -121,18 +115,6 @@ impl Hub {
             Some(state) if state.recovered => "recovered",
             Some(_) => "durable",
         }
-    }
-
-    /// Marks this hub as follower-fed (set by [`Follower`](crate::Follower));
-    /// reported by `INFO`.
-    pub(crate) fn mark_follower(&self) {
-        self.follower.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a [`Follower`](crate::Follower) replays a leader's WAL into
-    /// this hub.
-    pub fn is_follower(&self) -> bool {
-        self.follower.load(Ordering::SeqCst)
     }
 
     /// The process-wide metrics registry every serving component reports

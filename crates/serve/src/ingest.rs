@@ -1,5 +1,6 @@
 //! The bounded ingest queue: how deltas reach the writer, with backpressure.
 
+use crate::shard_labels;
 use ecfd_obs::{Counter, Gauge, Histogram};
 use ecfd_relation::{Delta, RowId};
 use std::collections::VecDeque;
@@ -28,25 +29,14 @@ impl QueueMetrics {
     /// series carries a `shard` label so per-shard queues stay separable.
     fn fetch(shard: Option<u32>) -> Self {
         let registry = ecfd_obs::registry();
-        match shard {
-            None => QueueMetrics {
-                depth: registry.gauge("ingest.queue.depth"),
-                accepted: registry.counter("ingest.accepted"),
-                rejected: registry.counter("ingest.rejected"),
-                backpressure: registry.histogram("ingest.backpressure.wait.ns"),
-                lag: registry.gauge("writer.epoch.lag"),
-            },
-            Some(shard) => {
-                let shard = shard.to_string();
-                let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
-                QueueMetrics {
-                    depth: registry.gauge_with("ingest.queue.depth", labels),
-                    accepted: registry.counter_with("ingest.accepted", labels),
-                    rejected: registry.counter_with("ingest.rejected", labels),
-                    backpressure: registry.histogram_with("ingest.backpressure.wait.ns", labels),
-                    lag: registry.gauge_with("writer.epoch.lag", labels),
-                }
-            }
+        let shard = shard.map(|s| s.to_string());
+        let labels = &shard_labels(&shard);
+        QueueMetrics {
+            depth: registry.gauge_with("ingest.queue.depth", labels),
+            accepted: registry.counter_with("ingest.accepted", labels),
+            rejected: registry.counter_with("ingest.rejected", labels),
+            backpressure: registry.histogram_with("ingest.backpressure.wait.ns", labels),
+            lag: registry.gauge_with("writer.epoch.lag", labels),
         }
     }
 }

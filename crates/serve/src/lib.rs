@@ -12,8 +12,9 @@
 //! This crate adds that place to stand without giving up the session's
 //! correctness story:
 //!
-//! * **Single-writer discipline.** Exactly one [`Writer`] thread owns the
-//!   mutable [`Session`](ecfd_session::Session). It drains
+//! * **Single-writer discipline.** Exactly one [`Writer`] thread owns each
+//!   shard's mutable [`Session`](ecfd_session::Session) (an unsharded
+//!   server is one shard). It drains
 //!   [`Delta`](ecfd_relation::Delta) batches
 //!   from a bounded [`IngestQueue`] (producers block when the queue is full —
 //!   backpressure, not unbounded memory), applies them through the session's
@@ -44,14 +45,23 @@
 //!
 //! ## Pieces
 //!
-//! * [`Hub`] — the shared core: [`SnapshotStore`] + [`IngestQueue`] +
-//!   shutdown/error bookkeeping. Everything else is wiring around it, and
-//!   embedders (benchmarks, in-process readers) can use it without TCP.
-//! * [`Writer`] — the apply→snapshot→publish loop.
-//! * [`Server`] — a [`std::net::TcpListener`] front end: one
-//!   [`std::thread::scope`] worker per connection speaking the
-//!   [`protocol`]. No async runtime is involved (or available offline);
-//!   blocking I/O plus scoped threads keeps the whole crate dependency-free.
+//! * [`Hub`] — one pipeline's shared core: [`SnapshotStore`] +
+//!   [`IngestQueue`] + shutdown/error bookkeeping. Embedders (benchmarks,
+//!   in-process readers) can use it alone, without TCP.
+//! * [`Writer`] — the apply→snapshot→publish loop of one pipeline.
+//! * [`ShardedHub`] — `N` pipelines behind a router (global tickets and
+//!   row ids) and a merge layer; reads go through [`ShardedHub::view`]. With
+//!   one shard — the default [`ShardedConfig`] — every router and merge rule
+//!   short-circuits to the single pipeline, so unsharded serving pays
+//!   nothing for it (see the [`ShardedHub`] module docs for the rules).
+//! * [`Server`] — the one [`std::net::TcpListener`] front end, over a
+//!   [`ShardedHub`]: one [`std::thread::scope`] worker per connection
+//!   speaking the [`protocol`], with request lines capped at
+//!   [`protocol::MAX_REQUEST_LINE_BYTES`]. No async runtime is involved (or
+//!   available offline); blocking I/O plus scoped threads keeps the whole
+//!   crate dependency-free.
+//! * [`Follower`] — replicates a durable one-shard leader into a local
+//!   one-shard server through `REPLAY`.
 //! * [`Client`] — a small blocking client for the protocol, used by the
 //!   examples, tests and the `serve` binary's peers.
 //!
@@ -112,12 +122,18 @@ pub use hub::{Hub, ServeStats};
 pub use ingest::{IngestItem, IngestQueue, PushError, Ticket};
 pub use protocol::{Request, Response};
 pub use replica::{Follower, FollowerProgress};
-pub use server::{ServeConfig, Server, ServerHandle, ShardedHandle, ShardedServer};
-pub use sharded::{MergedView, ShardedConfig, ShardedHub, SubmitReceipt};
+pub use server::{ServeConfig, Server, ServerHandle};
+pub use sharded::{MergedView, ShardedConfig, ShardedHub, SubmitReceipt, View};
 pub use store::SnapshotStore;
 pub use writer::{StepOutcome, Writer};
 
 use std::fmt;
+
+/// The labels of one shard's metric series: `shard="N"`, or none for
+/// `None` — a one-shard deployment's series stay unlabelled.
+fn shard_labels(shard: &Option<String>) -> Vec<(&'static str, &str)> {
+    shard.iter().map(|s| ("shard", s.as_str())).collect()
+}
 
 /// Result alias for serving operations.
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -231,6 +231,30 @@ pub enum Request {
 /// Default `max` when a `REPLAY` request omits it.
 pub const REPLAY_DEFAULT_MAX: usize = 256;
 
+/// The longest request line a server reads, newline included. A longer
+/// line is dropped as it arrives and answered with `ERR`; the connection
+/// stays usable.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// Every wire verb, in [`Request::verb_index`] order — the label values of
+/// the server's `serve.requests{verb=…}` / `serve.request.ns{verb=…}`
+/// metrics.
+pub const VERBS: [&str; 13] = [
+    "PING",
+    "EPOCH",
+    "DETECT",
+    "CHECK",
+    "EXPLAIN",
+    "EXPLAIN-PLAN",
+    "APPLY",
+    "SYNC",
+    "REPAIR-PLAN",
+    "REPLAY",
+    "STATS",
+    "INFO",
+    "QUIT",
+];
+
 impl Request {
     /// Renders the request as one protocol line (without the newline).
     pub fn render(&self) -> String {
@@ -265,20 +289,25 @@ impl Request {
     /// The wire verb of this request — the label value of the server's
     /// `serve.requests{verb=…}` / `serve.request.ns{verb=…}` metrics.
     pub fn verb(&self) -> &'static str {
+        VERBS[self.verb_index()]
+    }
+
+    /// Position of this request's verb in [`VERBS`].
+    pub fn verb_index(&self) -> usize {
         match self {
-            Request::Ping => "PING",
-            Request::Epoch => "EPOCH",
-            Request::Detect { .. } => "DETECT",
-            Request::Check => "CHECK",
-            Request::Explain => "EXPLAIN",
-            Request::ExplainPlan => "EXPLAIN-PLAN",
-            Request::Apply { .. } => "APPLY",
-            Request::Sync => "SYNC",
-            Request::RepairPlan => "REPAIR-PLAN",
-            Request::Replay { .. } => "REPLAY",
-            Request::Stats { .. } => "STATS",
-            Request::Info => "INFO",
-            Request::Quit => "QUIT",
+            Request::Ping => 0,
+            Request::Epoch => 1,
+            Request::Detect { .. } => 2,
+            Request::Check => 3,
+            Request::Explain => 4,
+            Request::ExplainPlan => 5,
+            Request::Apply { .. } => 6,
+            Request::Sync => 7,
+            Request::RepairPlan => 8,
+            Request::Replay { .. } => 9,
+            Request::Stats { .. } => 10,
+            Request::Info => 11,
+            Request::Quit => 12,
         }
     }
 

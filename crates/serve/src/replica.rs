@@ -1,10 +1,10 @@
 //! The follower: replicate a durable leader by replaying its WAL stream.
 //!
-//! A [`Follower`] connects a local serving stack (its own [`Hub`] + writer,
-//! built from the *same base data and constraints* as the leader's) to a
-//! remote durable leader via the `REPLAY` verb. Each poll fetches a page of
-//! leader WAL records and pushes them through the follower's completely
-//! ordinary ingest path:
+//! A [`Follower`] connects a local one-shard serving stack (its own
+//! [`ShardedHub`] + writer, built from the *same base data and constraints*
+//! as the leader's) to a remote durable one-shard leader via the `REPLAY`
+//! verb. Each poll fetches a page of leader WAL records and submits them
+//! through the follower's completely ordinary router path:
 //!
 //! * a **delta** record is submitted to the local hub, and its local ticket
 //!   must come back equal to the leader's — both sides number accepted
@@ -27,12 +27,16 @@
 //! are idempotent: deltas at or below the follower's high-water ticket are
 //! skipped, so overlapping pages (a cursor reset, a leader restart
 //! re-anchoring its epoch) re-verify rather than re-apply.
+//!
+//! Only one-shard deployments replicate: a sharded leader refuses `REPLAY`,
+//! and a sharded follower refuses to poll, because sharded replay would
+//! need the pre-assigned row ids the wire format does not carry.
 
 use crate::client::Client;
 use crate::durable::report_hash;
-use crate::hub::Hub;
 use crate::ingest::Ticket;
 use crate::protocol::{ReplayRecord, Request, REPLAY_DEFAULT_MAX};
+use crate::sharded::ShardedHub;
 use crate::{Result, ServeError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,12 +55,12 @@ pub struct FollowerProgress {
 }
 
 /// A replication client: pulls a durable leader's WAL pages and feeds a
-/// local hub, verifying every epoch checkpoint along the way. See the
-/// module docs for the protocol and the divergence rules.
+/// local one-shard hub, verifying every epoch checkpoint along the way. See
+/// the module docs for the protocol and the divergence rules.
 #[derive(Debug)]
 pub struct Follower {
     client: Client,
-    hub: Arc<Hub>,
+    hub: Arc<ShardedHub>,
     cursor: u64,
     /// Highest leader ticket applied locally — the idempotency watermark.
     /// Starts at the local hub's own applied ticket, so recovered history
@@ -70,9 +74,9 @@ impl Follower {
     /// The hub must have been bootstrapped from the same base data and
     /// constraints as the leader's; a mismatch surfaces as a divergence
     /// error at the first checkpoint, not as silent drift.
-    pub fn new(client: Client, hub: Arc<Hub>) -> Follower {
+    pub fn new(client: Client, hub: Arc<ShardedHub>) -> Follower {
         hub.mark_follower();
-        let last_ticket = hub.queue().applied_ticket();
+        let last_ticket = hub.applied_global();
         Follower {
             client,
             hub,
@@ -94,8 +98,15 @@ impl Follower {
 
     /// Fetches and applies one page of leader records. `sync_timeout` bounds
     /// each checkpoint barrier (a wedged local writer surfaces as
-    /// [`ServeError::SyncTimeout`] instead of hanging replication).
+    /// [`ServeError::SyncTimeout`] instead of hanging replication). A
+    /// sharded local hub is refused with [`ServeError::Replication`].
     pub fn poll(&mut self, sync_timeout: Duration) -> Result<FollowerProgress> {
+        if self.hub.num_shards() > 1 {
+            return Err(ServeError::Replication(format!(
+                "a follower replicates into one shard, not {}",
+                self.hub.num_shards()
+            )));
+        }
         let (records, next) = self.client.replay(self.cursor, self.page_max)?;
         let mut progress = FollowerProgress {
             records: records.len(),
@@ -107,10 +118,9 @@ impl Follower {
                     if ticket <= self.last_ticket {
                         continue; // already applied (overlapping page or recovered history)
                     }
-                    let snap = self.hub.snapshot();
-                    let delta =
-                        Request::ops_to_delta(&ops, snap.schema()).map_err(ServeError::Protocol)?;
-                    let local = self.hub.submit(delta)?;
+                    let delta = Request::ops_to_delta(&ops, self.hub.schema())
+                        .map_err(ServeError::Protocol)?;
+                    let local = self.hub.submit(delta)?.global;
                     if local != ticket {
                         return Err(ServeError::Replication(format!(
                             "leader streamed ticket {ticket} but the local queue issued \
@@ -133,16 +143,16 @@ impl Follower {
                     }
                     // Barrier: the local writer must have published exactly
                     // this far before the epoch comparison means anything.
-                    self.hub.sync_to(last_ticket, sync_timeout)?;
-                    let snap = self.hub.snapshot();
-                    if snap.epoch() != epoch {
+                    self.hub.sync_tickets(&[last_ticket], sync_timeout)?;
+                    let view = self.hub.view()?;
+                    if view.epoch() != epoch {
                         return Err(ServeError::Replication(format!(
                             "leader checkpoint is epoch {epoch} at ticket {last_ticket}, \
                              follower published epoch {} — base data or constraints differ",
-                            snap.epoch()
+                            view.epoch()
                         )));
                     }
-                    let actual = report_hash(snap.report());
+                    let actual = report_hash(view.report());
                     if actual != expected {
                         return Err(ServeError::Replication(format!(
                             "epoch {epoch} report hash mismatch: leader {expected:#018x}, \

@@ -1,19 +1,24 @@
-//! The TCP front end: a listener plus scoped per-connection workers.
+//! The TCP front end: a listener plus scoped per-connection workers over a
+//! [`ShardedHub`] — one shard unless configured otherwise.
 
 use crate::durable::RecoveryReport;
 use crate::hub::Hub;
-use crate::protocol::{delta_to_ops, MvLine, ReplayRecord, Request, Response};
+use crate::ingest::Ticket;
+use crate::protocol::{
+    delta_to_ops, MvLine, ReplayRecord, Request, Response, MAX_REQUEST_LINE_BYTES, VERBS,
+};
 use crate::sharded::{ShardedConfig, ShardedHub};
 use crate::writer::Writer;
 use crate::Result;
 use ecfd_detect::EvidenceReport;
+use ecfd_obs::{Counter, Histogram};
 use ecfd_repair::RepairOptions;
-use ecfd_session::{Session, Snapshot};
+use ecfd_session::Session;
 use ecfd_wal::WalRecord;
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Hard upper bound on records per `REPLAY` response, whatever the client
@@ -26,10 +31,10 @@ pub struct ServeConfig {
     /// Address to bind (`127.0.0.1:0` picks an ephemeral port — the default,
     /// so tests and examples never collide).
     pub addr: String,
-    /// Capacity of the ingest queue (backpressure threshold).
+    /// Capacity of each shard's ingest queue (backpressure threshold).
     pub queue_capacity: usize,
-    /// Maximum number of queued deltas the writer applies (in ticket order)
-    /// per published epoch.
+    /// Maximum number of queued deltas a shard's writer applies (in ticket
+    /// order) per published epoch.
     pub batch_max: usize,
     /// How long a `SYNC` request waits before reporting a timeout.
     pub sync_timeout: Duration,
@@ -53,73 +58,74 @@ impl Default for ServeConfig {
     }
 }
 
-/// A bound-but-not-yet-running server: the TCP face of a [`Hub`] + [`Writer`]
-/// pair. [`Server::run`] blocks the calling thread; grab a
-/// [`ServerHandle`] first to shut it down from elsewhere.
+/// A bound-but-not-yet-running server: the TCP face of a [`ShardedHub`] and
+/// its per-shard [`Writer`]s. Reader verbs answer from
+/// [`ShardedHub::view`], `APPLY` goes through the router, and `SYNC`
+/// barriers on the connection's per-shard ACK high-water marks.
+/// [`Server::run`] blocks the calling thread; grab a [`ServerHandle`] first
+/// to shut it down from elsewhere.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    hub: Arc<Hub>,
-    writer: Writer,
+    hub: Arc<ShardedHub>,
+    writers: Vec<Writer>,
     config: ServeConfig,
 }
 
-/// A cheap, cloneable remote control for a running [`Server`] (or bare hub):
-/// request shutdown, read the epoch, take in-process snapshots.
+/// A cheap, cloneable remote control for a running [`Server`]: request
+/// shutdown, reach the hub for in-process reads.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    hub: Arc<Hub>,
+    hub: Arc<ShardedHub>,
 }
 
 impl ServerHandle {
-    /// Requests shutdown: the queue closes, pending deltas drain, connection
+    /// Requests shutdown: the queues close, pending deltas drain, connection
     /// workers and the accept loop exit, and [`Server::run`] returns.
     pub fn shutdown(&self) {
         self.hub.shutdown();
     }
 
     /// The shared hub, for in-process readers living next to the server.
-    pub fn hub(&self) -> &Arc<Hub> {
+    pub fn hub(&self) -> &Arc<ShardedHub> {
         &self.hub
     }
 }
 
 impl Server {
-    /// Binds the listener and bootstraps the writer: takes ownership of a
-    /// prepared session (data loaded, constraints registered), publishes the
-    /// initial snapshot, and returns the server ready to [`Server::run`].
-    pub fn bind(session: Session, config: ServeConfig) -> Result<Server> {
-        let (writer, hub) = Writer::bootstrap(session, config.queue_capacity, config.batch_max)?;
+    /// Binds the listener and bootstraps one writer per shard from a
+    /// prepared session (data loaded, constraints registered) — see
+    /// [`ShardedHub::bootstrap`]; [`ShardedConfig::default`] serves it
+    /// unsharded. The queue capacity and batch cap come from `config`.
+    pub fn bind(session: Session, config: ServeConfig, sharding: &ShardedConfig) -> Result<Server> {
+        let (writers, hub) = ShardedHub::bootstrap(session, &with_queue(&config, sharding))?;
+        Server::listen(config, writers, hub)
+    }
+
+    /// Like [`Server::bind`], but durable: every shard's WAL under `wal_dir`
+    /// is opened (created if missing) and replayed over its session before
+    /// serving, and every accepted delta is logged + fsynced before its ACK
+    /// — see [`ShardedHub::bootstrap_durable`]. Returns the per-shard
+    /// recovery reports.
+    pub fn bind_durable(
+        session: Session,
+        config: ServeConfig,
+        sharding: &ShardedConfig,
+        wal_dir: &Path,
+    ) -> Result<(Server, Vec<RecoveryReport>)> {
+        let (writers, hub, recoveries) =
+            ShardedHub::bootstrap_durable(session, &with_queue(&config, sharding), wal_dir)?;
+        Ok((Server::listen(config, writers, hub)?, recoveries))
+    }
+
+    fn listen(config: ServeConfig, writers: Vec<Writer>, hub: Arc<ShardedHub>) -> Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         Ok(Server {
             listener,
             hub,
-            writer,
+            writers,
             config,
         })
-    }
-
-    /// Like [`Server::bind`], but durable: the WAL in `wal_dir` is opened
-    /// (created if missing), its records are replayed over `session` before
-    /// serving, and every accepted delta is logged + fsynced before its ACK.
-    /// See [`Writer::bootstrap_durable`] for the recovery contract.
-    pub fn bind_durable(
-        session: Session,
-        config: ServeConfig,
-        wal_dir: &Path,
-    ) -> Result<(Server, RecoveryReport)> {
-        let (writer, hub, recovery) =
-            Writer::bootstrap_durable(session, config.queue_capacity, config.batch_max, wal_dir)?;
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok((
-            Server {
-                listener,
-                hub,
-                writer,
-                config,
-            },
-            recovery,
-        ))
     }
 
     /// The bound address (resolves the ephemeral port of `127.0.0.1:0`).
@@ -134,21 +140,27 @@ impl Server {
         }
     }
 
-    /// Serves until [`ServerHandle::shutdown`] is called: the writer loop and
-    /// one worker per accepted connection all run as [`std::thread::scope`]
-    /// threads, so this call owns every serving thread and returns only after
-    /// all of them (and the drained session) are done. Returns the session
-    /// in its final state.
-    pub fn run(self) -> Result<Session> {
+    /// Serves until [`ServerHandle::shutdown`] is called: one writer thread
+    /// per shard and one worker per accepted connection all run as
+    /// [`std::thread::scope`] threads, so this call owns every serving
+    /// thread and returns only after all of them are done. A dead shard
+    /// writer trips the shutdown flag, so the accept loop exits rather than
+    /// serving a deployment that can no longer apply writes. Returns the
+    /// per-shard sessions in their final states.
+    pub fn run(self) -> Result<Vec<Session>> {
         let Server {
             listener,
             hub,
-            writer,
+            writers,
             config,
         } = self;
         listener.set_nonblocking(true)?;
-        let session = std::thread::scope(|scope| -> Result<Session> {
-            let writer_thread = scope.spawn(|| writer.run(&hub));
+        std::thread::scope(|scope| -> Result<Vec<Session>> {
+            let writer_threads: Vec<_> = writers
+                .into_iter()
+                .zip(hub.shard_hubs())
+                .map(|(writer, shard_hub)| scope.spawn(move || writer.run(shard_hub)))
+                .collect();
             loop {
                 if hub.is_shutdown() {
                     break;
@@ -167,45 +179,49 @@ impl Server {
                     Err(_) => break,
                 }
             }
-            // Make sure the writer drains and exits even if the accept loop
+            // Make sure the writers drain and exit even if the accept loop
             // stopped for a reason other than an explicit shutdown.
             hub.shutdown();
-            writer_thread.join().expect("writer thread panicked")
-        })?;
-        Ok(session)
+            writer_threads
+                .into_iter()
+                .map(|thread| thread.join().expect("writer thread panicked"))
+                .collect()
+        })
     }
 }
 
-/// The line-per-request connection loop shared by the unsharded and sharded
-/// servers: read a line, answer a line, until `QUIT`, EOF or shutdown.
-fn serve_lines(
+/// `sharding` with the per-shard queue capacity and batch cap of `config`.
+fn with_queue(config: &ServeConfig, sharding: &ShardedConfig) -> ShardedConfig {
+    ShardedConfig {
+        queue_capacity: config.queue_capacity,
+        batch_max: config.batch_max,
+        ..sharding.clone()
+    }
+}
+
+/// Serves one connection: read a line, answer a line, until `QUIT`, EOF or
+/// shutdown.
+fn handle_connection(
     stream: TcpStream,
-    read_timeout: Duration,
-    is_shutdown: impl Fn() -> bool,
-    mut respond: impl FnMut(&str) -> Response,
+    hub: &ShardedHub,
+    config: &ServeConfig,
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout))?;
+    stream.set_read_timeout(Some(config.read_timeout))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut line = LineBuffer::default();
+    // Per-shard tickets most recently ACKed on *this* connection (0 =
+    // nothing submitted to that shard yet): SYNC barriers on exactly these,
+    // so one client's barrier is never hostage to another's backlog.
+    let mut last: Vec<Ticket> = vec![0; hub.num_shards()];
     loop {
-        if is_shutdown() {
+        if hub.is_shutdown() {
             return Ok(());
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(_) => {
-                let response = respond(&line);
-                let quit = matches!(response, Response::Bye);
-                writer.write_all(response.render().as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                line.clear();
-                if quit {
-                    return Ok(());
-                }
-            }
-            // Timeout mid-wait: partial bytes (if any) stay in `line`; loop
+        let response = match line.next_line(&mut reader) {
+            Ok(None) => return Ok(()), // client closed
+            Ok(Some(line)) => respond(line, |request| dispatch(request, hub, config, &mut last)),
+            // Timeout mid-wait: partial bytes (if any) stay buffered; loop
             // to poll the shutdown flag and keep accumulating.
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -214,424 +230,179 @@ fn serve_lines(
                 continue;
             }
             Err(e) => return Err(e),
+        };
+        let quit = matches!(response, Response::Bye);
+        writer.write_all(response.render().as_bytes())?;
+        writer.write_all(b"\n")?;
+        writer.flush()?;
+        if quit {
+            return Ok(());
         }
     }
 }
 
-/// Serves one connection against an unsharded hub.
-fn handle_connection(stream: TcpStream, hub: &Hub, config: &ServeConfig) -> std::io::Result<()> {
-    // The most recent ticket ACKed on *this* connection: SYNC barriers on
-    // it, so one client's barrier is never hostage to another's backlog.
-    let mut last_ticket: u64 = 0;
-    serve_lines(
-        stream,
-        config.read_timeout,
-        || hub.is_shutdown(),
-        |line| {
-            respond_counted(line, |request| {
-                dispatch(request, hub, config, &mut last_ticket)
-            })
-        },
-    )
+/// One request line, accumulated across read timeouts and capped at
+/// [`MAX_REQUEST_LINE_BYTES`]: past the cap the rest of the line is dropped
+/// as it arrives, so a client cannot grow the buffer without bound.
+#[derive(Default)]
+struct LineBuffer {
+    bytes: Vec<u8>,
+    too_long: bool,
 }
 
-/// Parses one request line and runs it through `dispatch`, with the verb
-/// accounting both servers share. Never panics on client input — malformed
-/// lines come back as `ERR`.
+impl LineBuffer {
+    /// Reads until a whole line is in. `Ok(None)` means the client closed
+    /// the stream; a read timeout surfaces as the I/O error, keeping the
+    /// partial line. An over-cap or non-UTF-8 line comes back as `Err`
+    /// carrying the `ERR` message.
+    fn next_line(
+        &mut self,
+        reader: &mut impl BufRead,
+    ) -> std::io::Result<Option<std::result::Result<String, String>>> {
+        loop {
+            let available = reader.fill_buf()?;
+            if available.is_empty() {
+                // End of stream: a trailing unterminated line still counts.
+                let pending = !self.bytes.is_empty() || self.too_long;
+                return Ok(pending.then(|| self.take()));
+            }
+            let (chunk, complete) = match available.iter().position(|&b| b == b'\n') {
+                Some(end) => (&available[..=end], true),
+                None => (available, false),
+            };
+            let used = chunk.len();
+            if !self.too_long {
+                self.bytes.extend_from_slice(chunk);
+                if self.bytes.len() > MAX_REQUEST_LINE_BYTES {
+                    self.bytes = Vec::new();
+                    self.too_long = true;
+                }
+            }
+            reader.consume(used);
+            if complete {
+                return Ok(Some(self.take()));
+            }
+        }
+    }
+
+    fn take(&mut self) -> std::result::Result<String, String> {
+        let bytes = std::mem::take(&mut self.bytes);
+        if std::mem::take(&mut self.too_long) {
+            return Err(format!(
+                "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+            ));
+        }
+        String::from_utf8(bytes).map_err(|_| "request line is not UTF-8".to_string())
+    }
+}
+
+/// One verb's `serve.requests{verb}` / `serve.request.ns{verb}` handles.
+struct VerbMetrics {
+    requests: Counter,
+    latency: Histogram,
+}
+
+/// The metric handles of `request`'s verb, resolved in the registry on the
+/// verb's first request only — later requests neither format a key nor take
+/// the registry lock, and verbs never used add no series.
+fn verb_metrics(request: &Request) -> &'static VerbMetrics {
+    static SLOTS: [OnceLock<VerbMetrics>; VERBS.len()] = [const { OnceLock::new() }; VERBS.len()];
+    let index = request.verb_index();
+    SLOTS[index].get_or_init(|| {
+        let registry = ecfd_obs::registry();
+        let labels = [("verb", VERBS[index])];
+        VerbMetrics {
+            requests: registry.counter_with("serve.requests", &labels),
+            latency: registry.histogram_with("serve.request.ns", &labels),
+        }
+    })
+}
+
+/// Parses one request line and runs it through `dispatch`. Never panics on
+/// client input — malformed lines come back as `ERR`.
 ///
 /// Every parsed request is counted and timed under its wire verb
 /// (`serve.requests{verb=…}` / `serve.request.ns{verb=…}`); unparseable
 /// lines are counted under the pseudo-verb `INVALID`.
-fn respond_counted(line: &str, dispatch: impl FnOnce(Request) -> Response) -> Response {
-    let registry = ecfd_obs::registry();
-    let request = match Request::parse(line) {
-        Ok(request) => request,
-        Err(message) => {
-            registry
-                .counter_with("serve.requests", &[("verb", "INVALID")])
-                .inc();
-            return Response::Err { message };
+fn respond(
+    line: std::result::Result<String, String>,
+    dispatch: impl FnOnce(Request) -> Response,
+) -> Response {
+    match line.and_then(|line| Request::parse(&line)) {
+        Ok(request) => {
+            let metrics = verb_metrics(&request);
+            metrics.requests.inc();
+            metrics.latency.time(|| dispatch(request))
         }
-    };
-    let verb = request.verb();
-    registry
-        .counter_with("serve.requests", &[("verb", verb)])
-        .inc();
-    registry
-        .histogram_with("serve.request.ns", &[("verb", verb)])
-        .time(|| dispatch(request))
+        Err(message) => {
+            static INVALID: OnceLock<Counter> = OnceLock::new();
+            INVALID
+                .get_or_init(|| {
+                    ecfd_obs::registry().counter_with("serve.requests", &[("verb", "INVALID")])
+                })
+                .inc();
+            Response::Err { message }
+        }
+    }
 }
 
-/// The verb dispatch behind [`respond`], separated so the caller can time it.
-fn dispatch(request: Request, hub: &Hub, config: &ServeConfig, last_ticket: &mut u64) -> Response {
-    match request {
+/// The verb dispatch behind [`respond`], separated so the caller can time
+/// it. A serving-layer failure becomes the wire's `ERR` answer.
+fn dispatch(
+    request: Request,
+    hub: &ShardedHub,
+    config: &ServeConfig,
+    last: &mut [Ticket],
+) -> Response {
+    try_dispatch(request, hub, config, last).unwrap_or_else(|e| Response::Err {
+        message: e.to_string(),
+    })
+}
+
+fn try_dispatch(
+    request: Request,
+    hub: &ShardedHub,
+    config: &ServeConfig,
+    last: &mut [Ticket],
+) -> Result<Response> {
+    Ok(match request {
         Request::Ping => Response::Pong,
         Request::Quit => Response::Bye,
         Request::Epoch => {
-            let snap = hub.snapshot();
+            let view = hub.view()?;
             let stats = hub.stats();
             Response::Epoch {
-                epoch: snap.epoch(),
-                rows: snap.num_rows(),
-                sv: snap.report().num_sv(),
-                mv: snap.report().num_mv(),
+                epoch: view.epoch(),
+                rows: view.report().total_rows,
+                sv: view.report().num_sv(),
+                mv: view.report().num_mv(),
                 queued: stats.queued,
                 errors: stats.write_errors,
             }
         }
-        Request::Detect { fresh } => {
-            let snap = hub.snapshot();
-            let report = if fresh {
-                match snap.detect_fresh() {
-                    Ok(report) => report,
-                    Err(e) => {
-                        return Response::Err {
-                            message: e.to_string(),
-                        }
-                    }
-                }
-            } else {
-                snap.report().clone()
-            };
-            Response::Report {
-                epoch: snap.epoch(),
-                total: report.total_rows,
-                sv: report.sv_rows.iter().map(|r| r.as_u64()).collect(),
-                mv: report.mv_rows.iter().map(|r| r.as_u64()).collect(),
-            }
+        Request::Detect { fresh: false } => {
+            let view = hub.view()?;
+            report_response(view.epoch(), view.report())
+        }
+        Request::Detect { fresh: true } => {
+            let (epoch, report) = hub.detect_fresh()?;
+            report_response(epoch, &report)
         }
         Request::Check => {
-            let snap = hub.snapshot();
-            match snap.detect_fresh() {
-                Ok(fresh) => Response::Checked {
-                    epoch: snap.epoch(),
-                    total: fresh.total_rows,
-                    sv: fresh.num_sv(),
-                    mv: fresh.num_mv(),
-                    consistent: &fresh == snap.report(),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
+            let view = hub.view()?;
+            let fresh = view.detect_oracle()?;
+            Response::Checked {
+                epoch: view.epoch(),
+                total: fresh.total_rows,
+                sv: fresh.num_sv(),
+                mv: fresh.num_mv(),
+                consistent: &fresh == view.report(),
             }
         }
         Request::Explain => {
-            let snap = hub.snapshot();
-            evidence_response(&snap)
+            let view = hub.view()?;
+            evidence_response(view.epoch(), view.evidence())
         }
-        Request::ExplainPlan => {
-            let snap = hub.snapshot();
-            match ecfd_plan::Plan::compile(snap.constraints()) {
-                Ok(plan) => Response::PlanText {
-                    text: plan.render(),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::Apply { ops } => {
-            let snap = hub.snapshot();
-            let delta = match Request::ops_to_delta(&ops, snap.schema()) {
-                Ok(delta) => delta,
-                Err(message) => return Response::Err { message },
-            };
-            match hub.submit(delta) {
-                Ok(ticket) => {
-                    *last_ticket = ticket;
-                    Response::Ack {
-                        ticket,
-                        epoch: snap.epoch(),
-                    }
-                }
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::Sync => match hub.sync_to(*last_ticket, config.sync_timeout) {
-            Ok(epoch) => Response::Synced { epoch },
-            Err(e) => Response::Err {
-                message: e.to_string(),
-            },
-        },
-        Request::RepairPlan => {
-            let snap = hub.snapshot();
-            match snap.repair_plan(RepairOptions::default()) {
-                Ok(plan) => Response::Plan {
-                    epoch: snap.epoch(),
-                    deletions: plan.num_deletions(),
-                    modifications: plan.num_modifications(),
-                    cost: plan.total_cost(),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::Replay { cursor, max } => replay_response(hub, cursor, max),
-        Request::Stats { prefix } => Response::Metrics {
-            text: match prefix {
-                Some(prefix) => hub.metrics().render_prefix(&prefix),
-                None => hub.metrics().render(),
-            },
-        },
-        Request::Info => {
-            let queue = hub.queue();
-            Response::Info {
-                version: env!("CARGO_PKG_VERSION").to_string(),
-                epoch: hub.epoch(),
-                accepted: queue.last_ticket(),
-                applied: queue.applied_ticket(),
-                wal: hub.wal_mode().to_string(),
-                follower: hub.is_follower(),
-            }
-        }
-    }
-}
-
-// ── the sharded front end ────────────────────────────────────────────────
-
-/// The TCP face of a [`ShardedHub`]: the same wire protocol as [`Server`],
-/// served over `N` shards behind the router + merge layer. Reader verbs
-/// (`DETECT`, `EXPLAIN`, `EPOCH`, …) answer from the *merged* cross-shard
-/// view; `APPLY` routes through the global-ticket router; `SYNC` barriers on
-/// the connection's per-shard ACK high-water marks. `REPLAY` is the one verb
-/// a sharded server refuses — followers must tail the per-shard logs.
-#[derive(Debug)]
-pub struct ShardedServer {
-    listener: TcpListener,
-    hub: Arc<ShardedHub>,
-    writers: Vec<Writer>,
-    config: ServeConfig,
-}
-
-/// A cheap, cloneable remote control for a running [`ShardedServer`].
-#[derive(Debug, Clone)]
-pub struct ShardedHandle {
-    hub: Arc<ShardedHub>,
-}
-
-impl ShardedHandle {
-    /// Requests shutdown on every shard; [`ShardedServer::run`] returns once
-    /// all shard writers have drained.
-    pub fn shutdown(&self) {
-        self.hub.shutdown();
-    }
-
-    /// The shared sharded hub, for in-process readers.
-    pub fn hub(&self) -> &Arc<ShardedHub> {
-        &self.hub
-    }
-}
-
-impl ShardedServer {
-    /// Binds the listener and bootstraps one writer per shard from a
-    /// prepared template session — see [`ShardedHub::bootstrap`].
-    pub fn bind(
-        session: Session,
-        config: ServeConfig,
-        sharding: &ShardedConfig,
-    ) -> Result<ShardedServer> {
-        let mut sharding = sharding.clone();
-        sharding.queue_capacity = config.queue_capacity;
-        sharding.batch_max = config.batch_max;
-        let (writers, hub) = ShardedHub::bootstrap(session, &sharding)?;
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok(ShardedServer {
-            listener,
-            hub,
-            writers,
-            config,
-        })
-    }
-
-    /// Like [`ShardedServer::bind`], but durable: each shard recovers its
-    /// own `wal_dir/shard-N/` segment and the merged checkpoint is
-    /// re-verified — see [`ShardedHub::bootstrap_durable`]. Returns the
-    /// per-shard recovery reports.
-    pub fn bind_durable(
-        session: Session,
-        config: ServeConfig,
-        sharding: &ShardedConfig,
-        wal_dir: &Path,
-    ) -> Result<(ShardedServer, Vec<RecoveryReport>)> {
-        let mut sharding = sharding.clone();
-        sharding.queue_capacity = config.queue_capacity;
-        sharding.batch_max = config.batch_max;
-        let (writers, hub, recoveries) =
-            ShardedHub::bootstrap_durable(session, &sharding, wal_dir)?;
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok((
-            ShardedServer {
-                listener,
-                hub,
-                writers,
-                config,
-            },
-            recoveries,
-        ))
-    }
-
-    /// The bound address (resolves the ephemeral port of `127.0.0.1:0`).
-    pub fn local_addr(&self) -> Result<SocketAddr> {
-        Ok(self.listener.local_addr()?)
-    }
-
-    /// A handle for shutting the server down from another thread.
-    pub fn handle(&self) -> ShardedHandle {
-        ShardedHandle {
-            hub: self.hub.clone(),
-        }
-    }
-
-    /// Serves until shutdown: one writer thread per shard plus one worker
-    /// per accepted connection, all scoped. A dead shard writer trips the
-    /// sharded shutdown flag, so the accept loop exits rather than serving
-    /// a deployment that can no longer apply writes. Returns the per-shard
-    /// sessions in their final states.
-    pub fn run(self) -> Result<Vec<Session>> {
-        let ShardedServer {
-            listener,
-            hub,
-            writers,
-            config,
-        } = self;
-        listener.set_nonblocking(true)?;
-        std::thread::scope(|scope| -> Result<Vec<Session>> {
-            let writer_threads: Vec<_> = writers
-                .into_iter()
-                .enumerate()
-                .map(|(s, writer)| {
-                    let shard_hub = Arc::clone(&hub.shard_hubs()[s]);
-                    scope.spawn(move || writer.run(&shard_hub))
-                })
-                .collect();
-            loop {
-                if hub.is_shutdown() {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let hub = &hub;
-                        let config = &config;
-                        scope.spawn(move || {
-                            let _ = handle_sharded_connection(stream, hub, config);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(config.poll_interval);
-                    }
-                    Err(_) => break,
-                }
-            }
-            hub.shutdown();
-            let mut sessions = Vec::new();
-            for thread in writer_threads {
-                sessions.push(thread.join().expect("shard writer thread panicked")?);
-            }
-            Ok(sessions)
-        })
-    }
-}
-
-/// Serves one connection against a sharded hub.
-fn handle_sharded_connection(
-    stream: TcpStream,
-    hub: &ShardedHub,
-    config: &ServeConfig,
-) -> std::io::Result<()> {
-    // Per-shard ACK high-water marks of *this* connection (0 = nothing
-    // submitted to that shard yet): the SYNC barrier waits on exactly these.
-    let mut last: Vec<u64> = vec![0; hub.num_shards()];
-    serve_lines(
-        stream,
-        config.read_timeout,
-        || hub.is_shutdown(),
-        |line| {
-            respond_counted(line, |request| {
-                dispatch_sharded(request, hub, config, &mut last)
-            })
-        },
-    )
-}
-
-/// The sharded verb dispatch: reader verbs answer from the merged view,
-/// `APPLY` goes through the router, `SYNC` barriers per shard.
-fn dispatch_sharded(
-    request: Request,
-    hub: &ShardedHub,
-    config: &ServeConfig,
-    last: &mut [u64],
-) -> Response {
-    match request {
-        Request::Ping => Response::Pong,
-        Request::Quit => Response::Bye,
-        Request::Epoch => match hub.merged() {
-            Ok(merged) => {
-                let stats = hub.stats();
-                Response::Epoch {
-                    epoch: merged.epoch(),
-                    rows: merged.report.total_rows,
-                    sv: merged.report.num_sv(),
-                    mv: merged.report.num_mv(),
-                    queued: stats.queued,
-                    errors: stats.write_errors,
-                }
-            }
-            Err(e) => Response::Err {
-                message: e.to_string(),
-            },
-        },
-        Request::Detect { fresh } => {
-            let merged = if fresh {
-                hub.merged_fresh().map(Arc::new)
-            } else {
-                hub.merged()
-            };
-            match merged {
-                Ok(merged) => Response::Report {
-                    epoch: merged.epoch(),
-                    total: merged.report.total_rows,
-                    sv: merged.report.sv_rows.iter().map(|r| r.as_u64()).collect(),
-                    mv: merged.report.mv_rows.iter().map(|r| r.as_u64()).collect(),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::Check => {
-            // The strong sharded consistency check: compose the shards into
-            // one single-session snapshot (the oracle path) and compare its
-            // from-scratch report against the merge layer's answer.
-            let merged = match hub.merged() {
-                Ok(merged) => merged,
-                Err(e) => {
-                    return Response::Err {
-                        message: e.to_string(),
-                    }
-                }
-            };
-            match hub.compose() {
-                Ok(composed) => Response::Checked {
-                    epoch: merged.epoch(),
-                    total: composed.report().total_rows,
-                    sv: composed.report().num_sv(),
-                    mv: composed.report().num_mv(),
-                    consistent: composed.report() == &merged.report,
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::Explain => match hub.merged() {
-            Ok(merged) => evidence_parts(merged.epoch(), &merged.evidence),
-            Err(e) => Response::Err {
-                message: e.to_string(),
-            },
-        },
         Request::ExplainPlan => {
             // Every shard registers the same constraint set; compile the
             // plan from shard 0's published snapshot.
@@ -648,54 +419,41 @@ fn dispatch_sharded(
         Request::Apply { ops } => {
             let delta = match Request::ops_to_delta(&ops, hub.schema()) {
                 Ok(delta) => delta,
-                Err(message) => return Response::Err { message },
+                Err(message) => return Ok(Response::Err { message }),
             };
-            match hub.submit(delta) {
-                Ok(receipt) => {
-                    for &(s, ticket) in &receipt.shard_tickets {
-                        last[s] = last[s].max(ticket);
-                    }
-                    Response::Ack {
-                        ticket: receipt.global,
-                        epoch: hub.epoch(),
-                    }
-                }
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
+            let epoch = hub.epoch();
+            let receipt = hub.submit(delta)?;
+            for &(s, ticket) in &receipt.shard_tickets {
+                last[s] = last[s].max(ticket);
+            }
+            Response::Ack {
+                ticket: receipt.global,
+                epoch,
             }
         }
-        Request::Sync => match hub.sync_tickets(last, config.sync_timeout) {
-            Ok(epoch) => Response::Synced { epoch },
-            Err(e) => Response::Err {
-                message: e.to_string(),
-            },
+        Request::Sync => Response::Synced {
+            epoch: hub.sync_tickets(last, config.sync_timeout)?,
         },
-        Request::RepairPlan => match hub.compose() {
-            Ok(composed) => match composed.repair_plan(RepairOptions::default()) {
-                Ok(plan) => Response::Plan {
-                    epoch: composed.epoch(),
-                    deletions: plan.num_deletions(),
-                    modifications: plan.num_modifications(),
-                    cost: plan.total_cost(),
-                },
-                Err(e) => Response::Err {
-                    message: e.to_string(),
-                },
+        Request::RepairPlan => {
+            let single = hub.compose()?;
+            let plan = single.repair_plan(RepairOptions::default())?;
+            Response::Plan {
+                epoch: single.epoch(),
+                deletions: plan.num_deletions(),
+                modifications: plan.num_modifications(),
+                cost: plan.total_cost(),
+            }
+        }
+        Request::Replay { cursor, max } => match hub.shard_hubs() {
+            [only] => replay_response(only, cursor, max),
+            _ => Response::Err {
+                message: "REPLAY is not available on a sharded server".into(),
             },
-            Err(e) => Response::Err {
-                message: e.to_string(),
-            },
-        },
-        Request::Replay { .. } => Response::Err {
-            message: "REPLAY is not available on a sharded server; \
-                      tail the per-shard WAL segments instead"
-                .into(),
         },
         Request::Stats { prefix } => Response::Metrics {
             text: match prefix {
-                Some(prefix) => ecfd_obs::registry().render_prefix(&prefix),
-                None => ecfd_obs::registry().render(),
+                Some(prefix) => hub.metrics().render_prefix(&prefix),
+                None => hub.metrics().render(),
             },
         },
         Request::Info => Response::Info {
@@ -704,8 +462,17 @@ fn dispatch_sharded(
             accepted: hub.accepted_global(),
             applied: hub.applied_global(),
             wal: hub.wal_mode().to_string(),
-            follower: false,
+            follower: hub.is_follower(),
         },
+    })
+}
+
+fn report_response(epoch: u64, report: &ecfd_detect::DetectionReport) -> Response {
+    Response::Report {
+        epoch,
+        total: report.total_rows,
+        sv: report.sv_rows.iter().map(|r| r.as_u64()).collect(),
+        mv: report.mv_rows.iter().map(|r| r.as_u64()).collect(),
     }
 }
 
@@ -738,8 +505,8 @@ fn replay_response(hub: &Hub, cursor: u64, max: usize) -> Response {
                 ticket: *ticket,
                 ops: delta_to_ops(delta),
             },
-            // Sharded logs stream the same way; the pre-assigned ids are an
-            // apply-time detail the wire replay format does not carry.
+            // Records with pre-assigned ids stream the same way; the ids
+            // are an apply-time detail the wire replay format does not carry.
             WalRecord::ScheduledDelta { ticket, delta, .. } => ReplayRecord::Delta {
                 ticket: *ticket,
                 ops: delta_to_ops(delta),
@@ -761,11 +528,7 @@ fn replay_response(hub: &Hub, cursor: u64, max: usize) -> Response {
     }
 }
 
-fn evidence_response(snap: &Snapshot) -> Response {
-    evidence_parts(snap.epoch(), snap.evidence())
-}
-
-fn evidence_parts(epoch: u64, evidence: &EvidenceReport) -> Response {
+fn evidence_response(epoch: u64, evidence: &EvidenceReport) -> Response {
     Response::Evidence {
         epoch,
         total: evidence.total_rows,

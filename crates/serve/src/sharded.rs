@@ -1,7 +1,7 @@
-//! Sharded multi-writer serving: row partitioning, the global-id router,
-//! and the cross-shard merge layer.
+//! The serving core: `N` per-shard pipelines behind one router and one
+//! merge layer. An unsharded deployment is the `N = 1` case.
 //!
-//! A sharded deployment partitions one relation's rows over `N` independent
+//! A deployment partitions one relation's rows over `N` independent
 //! per-shard serving stacks — each with its own [`Session`], [`Writer`],
 //! ingest queue, WAL segment and snapshot store — by hashing the value of a
 //! configured **shard attribute** ([`shard_of_value`]). Routing hashes
@@ -33,6 +33,21 @@
 //! their pre-assigned ids, as [`ScheduledDelta`](ecfd_wal::WalRecord)
 //! records) into `wal_dir/shard-N/`, and recovery replays every shard then
 //! re-verifies the merged report hash against `wal_dir/merged.ckpt`.
+//!
+//! **One shard costs nothing extra.** With `N = 1` every rule above
+//! short-circuits to the single shard:
+//!
+//! * the template session *becomes* shard 0 — no decode, reload or
+//!   re-register;
+//! * submits go straight to the shard's queue, whose tickets (and the
+//!   session's own row-id counter) are the global ones, so the WAL holds
+//!   plain [`Delta`](ecfd_wal::WalRecord) records directly in `wal_dir`,
+//!   with no `shard-0/` and no `merged.ckpt`;
+//! * reads ([`ShardedHub::view`]) answer from the shard's published
+//!   snapshot — no partition scan, no merge, no second copy of the
+//!   evidence — and `CHECK` / `REPAIR-PLAN` use that snapshot instead of
+//!   [`Snapshot::compose`];
+//! * metric series carry no `shard` label.
 
 use crate::durable::{report_hash, RecoveryReport};
 use crate::hub::{Hub, ServeStats};
@@ -45,15 +60,17 @@ use ecfd_session::{Session, SessionError, Snapshot};
 use ecfd_wal::WalRecord;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs of a sharded deployment.
+/// Tuning knobs of a deployment's sharding.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// Number of shards (clamped to at least 1).
     pub num_shards: usize,
-    /// Name of the attribute whose value routes each row to its shard.
+    /// Name of the attribute whose value routes each row to its shard
+    /// (unused, and may be empty, with one shard).
     pub shard_key: String,
     /// Per-shard ingest-queue capacity (backpressure threshold).
     pub queue_capacity: usize,
@@ -76,6 +93,33 @@ impl ShardedConfig {
             detect_workers: None,
         }
     }
+
+    fn shards(&self) -> usize {
+        self.num_shards.max(1)
+    }
+
+    /// The directory shard `shard`'s WAL lives in under `wal_dir`:
+    /// `wal_dir` itself with one shard, `wal_dir/shard-N/` otherwise.
+    pub fn shard_wal_dir(&self, wal_dir: &Path, shard: usize) -> PathBuf {
+        if self.shards() == 1 {
+            wal_dir.to_path_buf()
+        } else {
+            wal_dir.join(format!("shard-{shard}"))
+        }
+    }
+
+    /// The `shard` label of shard `shard`'s metric series: none with one
+    /// shard, so unsharded metric names stay unlabelled.
+    fn label(&self, shard: usize) -> Option<u32> {
+        (self.shards() > 1).then_some(shard as u32)
+    }
+}
+
+impl Default for ShardedConfig {
+    /// One shard and no shard key: the unsharded deployment.
+    fn default() -> Self {
+        ShardedConfig::new(1, "")
+    }
 }
 
 /// What one [`ShardedHub::submit`] produced: the global ticket (the delta's
@@ -83,7 +127,8 @@ impl ShardedConfig {
 /// of its non-empty sub-deltas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmitReceipt {
-    /// Position in the global serialization order (starting at 1).
+    /// Position in the global serialization order (starting at 1; with one
+    /// shard, the shard's own ticket, which continues a recovered log).
     pub global: Ticket,
     /// `(shard, shard-local ticket)` for every shard that received work.
     pub shard_tickets: Vec<(usize, Ticket)>,
@@ -112,6 +157,61 @@ impl MergedView {
     }
 }
 
+/// What reader verbs answer from: one consistent cut of every shard.
+#[derive(Debug, Clone)]
+pub enum View {
+    /// One shard: its own published snapshot, read as-is.
+    Shard(Arc<Snapshot>),
+    /// Several shards: the cached cross-shard merge.
+    Merged(Arc<MergedView>),
+}
+
+impl View {
+    /// The cut's global epoch.
+    pub fn epoch(&self) -> u64 {
+        match self {
+            View::Shard(snapshot) => snapshot.epoch(),
+            View::Merged(view) => view.epoch(),
+        }
+    }
+
+    /// The cut's detection report.
+    pub fn report(&self) -> &DetectionReport {
+        match self {
+            View::Shard(snapshot) => snapshot.report(),
+            View::Merged(view) => &view.report,
+        }
+    }
+
+    /// The evidence behind [`View::report`].
+    pub fn evidence(&self) -> &EvidenceReport {
+        match self {
+            View::Shard(snapshot) => snapshot.evidence(),
+            View::Merged(view) => &view.evidence,
+        }
+    }
+
+    /// A from-scratch single-session detection over the cut's rows — what
+    /// `CHECK` compares [`View::report`] against. One shard rescans its
+    /// snapshot; several are composed into one session first.
+    pub fn detect_oracle(&self) -> Result<DetectionReport> {
+        match self {
+            View::Shard(snapshot) => Ok(snapshot.detect_fresh()?),
+            View::Merged(view) => Ok(compose(&view.snapshots)?.report().clone()),
+        }
+    }
+}
+
+/// One self-contained snapshot over a cut's rows: the shard's own with one
+/// shard, [`Snapshot::compose`] (re-encode and re-detect) otherwise.
+fn compose(snapshots: &[Arc<Snapshot>]) -> Result<Arc<Snapshot>> {
+    if let [only] = snapshots {
+        return Ok(Arc::clone(only));
+    }
+    let refs: Vec<&Snapshot> = snapshots.iter().map(Arc::as_ref).collect();
+    Ok(Arc::new(Snapshot::compose(&refs)?))
+}
+
 struct RouterState {
     /// Next global row id to hand to an insertion.
     next_row_id: u64,
@@ -123,23 +223,30 @@ struct RouterState {
     inflight: BTreeMap<Ticket, Vec<(usize, Ticket)>>,
 }
 
-/// The shared core of a sharded deployment: `N` per-shard [`Hub`]s behind
-/// one router (global tickets + global row-id pre-assignment) and one merge
-/// layer. The sharded analogue of [`Hub`] — the TCP front end and
-/// in-process embedders drive this type directly.
+/// The shared core of a deployment: `N` per-shard [`Hub`]s behind one
+/// router (global tickets + global row-id pre-assignment) and one merge
+/// layer. The TCP [`Server`](crate::Server) and in-process embedders drive
+/// this type directly; with one shard it is a thin wrapper over that
+/// shard's [`Hub`] (see the module docs).
 pub struct ShardedHub {
     table: String,
     schema: Schema,
     shard_key: String,
-    shard_attr: AttrId,
-    /// Per split constraint: does its `X` contain the shard key?
+    /// The routing attribute; `None` with one shard and no key.
+    shard_attr: Option<AttrId>,
+    /// Per split constraint: does its `X` contain the shard key? Empty with
+    /// one shard, where nothing merges.
     aligned: Vec<bool>,
     hubs: Vec<Arc<Hub>>,
     router: Mutex<RouterState>,
     merged_cache: Mutex<Option<Arc<MergedView>>>,
     detect_workers: Option<usize>,
-    /// Present in durable mode: where the merged checkpoint is persisted.
+    /// Present in durable mode with several shards: where the merged
+    /// checkpoint is persisted.
     merged_ckpt: Option<PathBuf>,
+    /// Set when a [`Follower`](crate::Follower) replays a leader's WAL into
+    /// this deployment, as reported by `INFO`.
+    follower: AtomicBool,
 }
 
 impl std::fmt::Debug for ShardedHub {
@@ -154,18 +261,19 @@ impl std::fmt::Debug for ShardedHub {
 }
 
 impl ShardedHub {
-    /// Bootstraps a sharded deployment from a prepared template session
-    /// (data loaded, constraints registered): partitions the template's rows
-    /// by the shard key's value, builds one independent session + writer +
-    /// hub per shard (rows keep their global ids), and returns the per-shard
-    /// writers alongside the hub. Run each writer against its hub
+    /// Bootstraps a deployment from a prepared template session (data
+    /// loaded, constraints registered): partitions the template's rows by
+    /// the shard key's value, builds one independent session + writer + hub
+    /// per shard (rows keep their global ids), and returns the per-shard
+    /// writers alongside the hub. With one shard the template itself is
+    /// shard 0. Run each writer against its hub
     /// (`writers[s].run(&hub.shard_hubs()[s])`) — or step them manually in
     /// tests.
     pub fn bootstrap(
         template: Session,
         config: &ShardedConfig,
     ) -> Result<(Vec<Writer>, Arc<Self>)> {
-        let parts = PartitionedTemplate::build(template, config)?;
+        let parts = Partition::build(template, config)?;
         let mut writers = Vec::with_capacity(parts.sessions.len());
         let mut hubs = Vec::with_capacity(parts.sessions.len());
         for (s, session) in parts.sessions.into_iter().enumerate() {
@@ -173,45 +281,46 @@ impl ShardedHub {
                 session,
                 config.queue_capacity,
                 config.batch_max,
-                Some(s as u32),
+                config.label(s),
             )?;
             writers.push(writer);
             hubs.push(hub);
         }
-        let hub = parts.meta.into_hub(hubs, config, None);
+        let hub = ShardedHub::assemble(hubs, config, parts.aligned, parts.next_row_id, None)?;
         Ok((writers, hub))
     }
 
     /// [`ShardedHub::bootstrap`], durable: each shard opens (or recovers)
-    /// its own WAL segment in `wal_dir/shard-N/`, the global row-id counter
-    /// continues past every id any shard's log ever assigned, and the merged
-    /// report is re-verified against `wal_dir/merged.ckpt` when the
-    /// recovered epochs match the checkpointed ones (gauge
-    /// `wal.recovery.merged.verified`). Returns the per-shard recovery
-    /// reports.
+    /// its own WAL in [`ShardedConfig::shard_wal_dir`]. With several
+    /// shards, the global row-id counter continues past every id any
+    /// shard's log ever assigned, and the merged report is re-verified
+    /// against `wal_dir/merged.ckpt` when the recovered epochs match the
+    /// checkpointed ones (gauge `wal.recovery.merged.verified`). With one
+    /// shard the shard's own checkpoint records are the whole story.
+    /// Returns the per-shard recovery reports.
     pub fn bootstrap_durable(
         template: Session,
         config: &ShardedConfig,
         wal_dir: &Path,
     ) -> Result<(Vec<Writer>, Arc<Self>, Vec<RecoveryReport>)> {
-        let parts = PartitionedTemplate::build(template, config)?;
+        let parts = Partition::build(template, config)?;
+        let sharded = parts.sessions.len() > 1;
         let mut writers = Vec::with_capacity(parts.sessions.len());
         let mut hubs = Vec::with_capacity(parts.sessions.len());
         let mut recoveries = Vec::with_capacity(parts.sessions.len());
-        let mut next_row_id = parts.meta.next_row_id;
+        let mut next_row_id = parts.next_row_id;
         for (s, session) in parts.sessions.into_iter().enumerate() {
-            let shard_dir = wal_dir.join(format!("shard-{s}"));
             let (writer, hub, recovery) = Writer::bootstrap_durable_shard(
                 session,
                 config.queue_capacity,
                 config.batch_max,
-                &shard_dir,
-                Some(s as u32),
+                &config.shard_wal_dir(wal_dir, s),
+                config.label(s),
             )?;
             // The global id sequence must continue past every id this
             // shard's log ever assigned — surviving rows alone understate it
             // when logged insertions were later deleted.
-            if let Some(path) = hub.wal_path() {
+            if let Some(path) = hub.wal_path().filter(|_| sharded) {
                 for record in ecfd_wal::read_records(path)? {
                     if let WalRecord::ScheduledDelta { insert_ids, .. } = record {
                         for id in insert_ids {
@@ -224,11 +333,45 @@ impl ShardedHub {
             hubs.push(hub);
             recoveries.push(recovery);
         }
-        let mut meta = parts.meta;
-        meta.next_row_id = next_row_id;
-        let hub = meta.into_hub(hubs, config, Some(wal_dir.join("merged.ckpt")));
-        hub.verify_recovered_merged()?;
+        let merged_ckpt = sharded.then(|| wal_dir.join("merged.ckpt"));
+        let hub = ShardedHub::assemble(hubs, config, parts.aligned, next_row_id, merged_ckpt)?;
+        if sharded {
+            hub.verify_recovered_merged()?;
+        }
         Ok((writers, hub, recoveries))
+    }
+
+    fn assemble(
+        hubs: Vec<Arc<Hub>>,
+        config: &ShardedConfig,
+        aligned: Vec<bool>,
+        next_row_id: u64,
+        merged_ckpt: Option<PathBuf>,
+    ) -> Result<Arc<Self>> {
+        let first = hubs[0].snapshot();
+        let schema = first.schema().clone();
+        let shard_attr = match (hubs.len(), config.shard_key.as_str()) {
+            (1, "") => None,
+            (_, key) => Some(schema.require_attr(key).map_err(SessionError::from)?),
+        };
+        Ok(Arc::new(ShardedHub {
+            table: first.table().to_string(),
+            schema,
+            shard_key: config.shard_key.clone(),
+            shard_attr,
+            aligned,
+            hubs,
+            router: Mutex::new(RouterState {
+                next_row_id,
+                next_global: 1,
+                applied_global: 0,
+                inflight: BTreeMap::new(),
+            }),
+            merged_cache: Mutex::new(None),
+            detect_workers: config.detect_workers,
+            merged_ckpt,
+            follower: AtomicBool::new(false),
+        }))
     }
 
     // ── accessors ─────────────────────────────────────────────────────────
@@ -266,7 +409,7 @@ impl ShardedHub {
 
     /// Whether submits are WAL-logged before acknowledgement.
     pub fn is_durable(&self) -> bool {
-        self.merged_ckpt.is_some()
+        self.hubs[0].is_durable()
     }
 
     /// The WAL mode string `INFO` reports (`off` / `durable` / `recovered`);
@@ -277,6 +420,24 @@ impl ShardedHub {
         } else {
             self.hubs[0].wal_mode()
         }
+    }
+
+    /// Marks this deployment as follower-fed (set by
+    /// [`Follower`](crate::Follower)); reported by `INFO`.
+    pub(crate) fn mark_follower(&self) {
+        self.follower.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether a [`Follower`](crate::Follower) replays a leader's WAL into
+    /// this deployment.
+    pub fn is_follower(&self) -> bool {
+        self.follower.load(Ordering::SeqCst)
+    }
+
+    /// The process-wide metrics registry every serving component reports
+    /// into — the in-process equivalent of the `STATS` verb.
+    pub fn metrics(&self) -> &'static ecfd_obs::Registry {
+        ecfd_obs::registry()
     }
 
     /// Aggregated counters across the shards, as reported by `EPOCH`.
@@ -304,7 +465,7 @@ impl ShardedHub {
     /// Which shard a tuple routes to. Tuples too short to reach the shard
     /// attribute go to shard 0, whose writer records the apply failure.
     pub fn shard_of_tuple(&self, tuple: &Tuple) -> usize {
-        match tuple.get(self.shard_attr) {
+        match self.shard_attr.and_then(|attr| tuple.get(attr)) {
             Some(value) => shard_of_value(value, self.hubs.len()),
             None => 0,
         }
@@ -320,7 +481,17 @@ impl ShardedHub {
     /// never interleave), enqueues the non-empty sub-deltas, and — in
     /// durable mode — logs each sub-delta to its shard's WAL (fsynced
     /// before this returns, *outside* the router lock).
+    ///
+    /// With one shard the delta goes straight to that shard's hub: its
+    /// queue's ticket is the global ticket and its session numbers the rows.
     pub fn submit(&self, delta: Delta) -> Result<SubmitReceipt> {
+        if let [hub] = self.hubs.as_slice() {
+            let ticket = hub.submit(delta)?;
+            return Ok(SubmitReceipt {
+                global: ticket,
+                shard_tickets: vec![(0, ticket)],
+            });
+        }
         let shards = self.hubs.len();
         let mut parts: Vec<Delta> = std::iter::repeat_with(Delta::new).take(shards).collect();
         let mut ids: Vec<Vec<RowId>> = vec![Vec::new(); shards];
@@ -372,12 +543,18 @@ impl ShardedHub {
 
     /// The highest global ticket issued so far (0 before the first submit).
     pub fn accepted_global(&self) -> Ticket {
+        if let [hub] = self.hubs.as_slice() {
+            return hub.queue().last_ticket();
+        }
         self.lock_router().next_global - 1
     }
 
     /// The highest global ticket whose every shard part has been applied
     /// and published — the global applied watermark `INFO` reports.
     pub fn applied_global(&self) -> Ticket {
+        if let [hub] = self.hubs.as_slice() {
+            return hub.queue().applied_ticket();
+        }
         let mut router = self.lock_router();
         while let Some((_, shard_tickets)) = router.inflight.first_key_value() {
             let done = shard_tickets
@@ -427,15 +604,46 @@ impl ShardedHub {
         self.hubs.iter().any(|h| h.is_shutdown())
     }
 
-    // ── the merge layer ───────────────────────────────────────────────────
+    // ── reads and the merge layer ─────────────────────────────────────────
+
+    fn snapshots(&self) -> Vec<Arc<Snapshot>> {
+        self.hubs.iter().map(|h| h.snapshot()).collect()
+    }
+
+    /// What reader verbs answer from: the shard's own published snapshot
+    /// with one shard, the cached [`ShardedHub::merged`] view otherwise.
+    pub fn view(&self) -> Result<View> {
+        match self.hubs.as_slice() {
+            [hub] => Ok(View::Shard(hub.snapshot())),
+            _ => self.merged().map(View::Merged),
+        }
+    }
+
+    /// `DETECT FRESH`: a from-scratch detection of the current cut that
+    /// trusts no cache — [`Snapshot::detect_fresh`] with one shard, a
+    /// [`ShardedHub::merged_fresh`] otherwise. Returns the cut's epoch and
+    /// report.
+    pub fn detect_fresh(&self) -> Result<(u64, DetectionReport)> {
+        match self.hubs.as_slice() {
+            [hub] => {
+                let snapshot = hub.snapshot();
+                Ok((snapshot.epoch(), snapshot.detect_fresh()?))
+            }
+            _ => {
+                let view = self.merged_fresh()?;
+                Ok((view.epoch(), view.report))
+            }
+        }
+    }
 
     /// The merged cross-shard view of the current per-shard snapshots,
     /// cached by epoch vector: repeated reads at an unchanged cut are free.
     /// In durable mode a fresh merge also persists the merged checkpoint
     /// (`merged.ckpt`: epoch vector + report hash) for the next recovery to
-    /// verify against.
+    /// verify against. Readers of a one-shard deployment should prefer
+    /// [`ShardedHub::view`], which copies nothing.
     pub fn merged(&self) -> Result<Arc<MergedView>> {
-        let snapshots: Vec<Arc<Snapshot>> = self.hubs.iter().map(|h| h.snapshot()).collect();
+        let snapshots = self.snapshots();
         let epochs: Vec<u64> = snapshots.iter().map(|s| s.epoch()).collect();
         {
             let cache = self.merged_cache.lock().unwrap_or_else(|e| e.into_inner());
@@ -455,20 +663,23 @@ impl ShardedHub {
     /// (and not updating) the cache — the `DETECT FRESH` path readers use to
     /// *verify* the published merged state rather than trust it.
     pub fn merged_fresh(&self) -> Result<MergedView> {
-        let snapshots: Vec<Arc<Snapshot>> = self.hubs.iter().map(|h| h.snapshot()).collect();
-        self.merge(snapshots)
+        self.merge(self.snapshots())
     }
 
     fn merge(&self, snapshots: Vec<Arc<Snapshot>>) -> Result<MergedView> {
         let epochs: Vec<u64> = snapshots.iter().map(|s| s.epoch()).collect();
-        let partials: Vec<ShardPartial> = snapshots
-            .iter()
-            .map(|snap| match self.detect_workers {
-                Some(workers) => snap.detect_partition_with(&self.aligned, workers),
-                None => snap.detect_partition(&self.aligned),
-            })
-            .collect::<std::result::Result<_, SessionError>>()?;
-        let (report, evidence) = snapshots[0].merge_partials(partials);
+        let (report, evidence) = if let [only] = snapshots.as_slice() {
+            only.detect_fresh_with_evidence()?
+        } else {
+            let partials: Vec<ShardPartial> = snapshots
+                .iter()
+                .map(|snap| match self.detect_workers {
+                    Some(workers) => snap.detect_partition_with(&self.aligned, workers),
+                    None => snap.detect_partition(&self.aligned),
+                })
+                .collect::<std::result::Result<_, SessionError>>()?;
+            snapshots[0].merge_partials(partials)
+        };
         Ok(MergedView {
             epochs,
             report,
@@ -477,13 +688,12 @@ impl ShardedHub {
         })
     }
 
-    /// Composes the current per-shard snapshots into one self-contained
-    /// single-session snapshot over the union of the shards' rows — the
-    /// oracle path behind `CHECK` and `REPAIR-PLAN`.
-    pub fn compose(&self) -> Result<Snapshot> {
-        let snapshots: Vec<Arc<Snapshot>> = self.hubs.iter().map(|h| h.snapshot()).collect();
-        let refs: Vec<&Snapshot> = snapshots.iter().map(Arc::as_ref).collect();
-        Ok(Snapshot::compose(&refs)?)
+    /// One self-contained single-session snapshot over the union of the
+    /// shards' rows — the oracle path behind `REPAIR-PLAN`. With one shard
+    /// it is that shard's published snapshot; otherwise the shards are
+    /// composed ([`Snapshot::compose`] re-encodes and re-detects).
+    pub fn compose(&self) -> Result<Arc<Snapshot>> {
+        compose(&self.snapshots())
     }
 
     // ── merged checkpoint persistence ─────────────────────────────────────
@@ -558,59 +768,33 @@ fn parse_merged_ckpt(text: &str) -> Option<(Vec<u64>, u64)> {
     Some((epochs, hash))
 }
 
-/// The shard-independent metadata extracted from a template session, plus
-/// the per-shard sessions built from its rows.
-struct PartitionedTemplate {
-    meta: PartitionMeta,
+/// A template session's rows, split into one session per shard.
+struct Partition {
     sessions: Vec<Session>,
-}
-
-struct PartitionMeta {
-    table: String,
-    schema: Schema,
-    shard_key: String,
-    shard_attr: AttrId,
+    /// Per split constraint: does its `X` contain the shard key? Empty with
+    /// one shard.
     aligned: Vec<bool>,
+    /// The first global row id after the template's rows (unused with one
+    /// shard, whose session numbers its own rows).
     next_row_id: u64,
 }
 
-impl PartitionMeta {
-    fn into_hub(
-        self,
-        hubs: Vec<Arc<Hub>>,
-        config: &ShardedConfig,
-        merged_ckpt: Option<PathBuf>,
-    ) -> Arc<ShardedHub> {
-        Arc::new(ShardedHub {
-            table: self.table,
-            schema: self.schema,
-            shard_key: self.shard_key,
-            shard_attr: self.shard_attr,
-            aligned: self.aligned,
-            hubs,
-            router: Mutex::new(RouterState {
-                next_row_id: self.next_row_id,
-                next_global: 1,
-                applied_global: 0,
-                inflight: BTreeMap::new(),
-            }),
-            merged_cache: Mutex::new(None),
-            detect_workers: config.detect_workers,
-            merged_ckpt,
-        })
-    }
-}
-
-impl PartitionedTemplate {
+impl Partition {
     /// Partitions a prepared template session's rows by the shard key's
     /// hashed value into one fresh session per shard. Rows keep their global
     /// ids, and the global id counter continues after the highest existing
     /// id — exactly where the template's own insertion counter stood for
-    /// freshly loaded data.
-    fn build(mut template: Session, config: &ShardedConfig) -> Result<PartitionedTemplate> {
-        let num_shards = config.num_shards.max(1);
+    /// freshly loaded data. With one shard the template is shard 0 as-is.
+    fn build(mut template: Session, config: &ShardedConfig) -> Result<Partition> {
+        let num_shards = config.shards();
+        if num_shards == 1 {
+            return Ok(Partition {
+                sessions: vec![template],
+                aligned: Vec::new(),
+                next_row_id: 0,
+            });
+        }
         let snapshot = template.snapshot()?;
-        let table = snapshot.table().to_string();
         let schema = snapshot.schema().clone();
         let shard_attr = schema
             .require_attr(&config.shard_key)
@@ -635,16 +819,10 @@ impl PartitionedTemplate {
             session.register(source)?;
             sessions.push(session);
         }
-        Ok(PartitionedTemplate {
-            meta: PartitionMeta {
-                table,
-                schema,
-                shard_key: config.shard_key.clone(),
-                shard_attr,
-                aligned,
-                next_row_id,
-            },
+        Ok(Partition {
             sessions,
+            aligned,
+            next_row_id,
         })
     }
 }

@@ -3,7 +3,7 @@
 use crate::durable::{recover_session, report_hash, RecoveryReport, WalSink};
 use crate::hub::Hub;
 use crate::ingest::{IngestQueue, Ticket};
-use crate::{Result, ServeError};
+use crate::{shard_labels, Result, ServeError};
 use ecfd_obs::{Counter, Histogram};
 use ecfd_session::Session;
 use ecfd_wal::Wal;
@@ -31,25 +31,14 @@ impl WriterMetrics {
     /// series carries a `shard` label (one writer per shard).
     fn fetch(shard: Option<u32>) -> Self {
         let registry = ecfd_obs::registry();
-        match shard {
-            None => WriterMetrics {
-                apply: registry.histogram("writer.apply.ns"),
-                apply_failed: registry.counter("writer.apply.failed"),
-                batch_size: registry.histogram("writer.batch.size"),
-                publish: registry.histogram("writer.publish.ns"),
-                epochs: registry.counter("writer.epochs"),
-            },
-            Some(shard) => {
-                let shard = shard.to_string();
-                let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
-                WriterMetrics {
-                    apply: registry.histogram_with("writer.apply.ns", labels),
-                    apply_failed: registry.counter_with("writer.apply.failed", labels),
-                    batch_size: registry.histogram_with("writer.batch.size", labels),
-                    publish: registry.histogram_with("writer.publish.ns", labels),
-                    epochs: registry.counter_with("writer.epochs", labels),
-                }
-            }
+        let shard = shard.map(|s| s.to_string());
+        let labels = &shard_labels(&shard);
+        WriterMetrics {
+            apply: registry.histogram_with("writer.apply.ns", labels),
+            apply_failed: registry.counter_with("writer.apply.failed", labels),
+            batch_size: registry.histogram_with("writer.batch.size", labels),
+            publish: registry.histogram_with("writer.publish.ns", labels),
+            epochs: registry.counter_with("writer.epochs", labels),
         }
     }
 }
@@ -110,10 +99,10 @@ impl Writer {
         Writer::bootstrap_shard(session, queue_capacity, batch_max, None)
     }
 
-    /// [`Writer::bootstrap`] for one shard of a sharded deployment: the
-    /// writer's (and its queue's) metric series carry a `shard` label so the
-    /// per-shard apply latencies stay separable.
-    pub fn bootstrap_shard(
+    /// [`Writer::bootstrap`] for one shard of a deployment: with `shard`
+    /// set, the writer's (and its queue's) metric series carry a `shard`
+    /// label so the per-shard apply latencies stay separable.
+    pub(crate) fn bootstrap_shard(
         mut session: Session,
         queue_capacity: usize,
         batch_max: usize,
@@ -159,10 +148,11 @@ impl Writer {
         Writer::bootstrap_durable_shard(session, queue_capacity, batch_max, wal_dir, None)
     }
 
-    /// [`Writer::bootstrap_durable`] for one shard of a sharded deployment:
-    /// `wal_dir` is the shard's own log directory, and every metric series
-    /// (writer, queue, WAL sink, recovery gauges) carries a `shard` label.
-    pub fn bootstrap_durable_shard(
+    /// [`Writer::bootstrap_durable`] for one shard of a deployment: `wal_dir`
+    /// is the shard's own log directory, and with `shard` set every metric
+    /// series (writer, queue, WAL sink, recovery gauges) carries a `shard`
+    /// label.
+    pub(crate) fn bootstrap_durable_shard(
         mut session: Session,
         queue_capacity: usize,
         batch_max: usize,

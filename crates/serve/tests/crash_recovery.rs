@@ -8,7 +8,9 @@
 //! report.
 
 use ecfd_serve::protocol::TupleOp;
-use ecfd_serve::{report_hash, Client, Follower, Request, Response, ServeConfig, Server};
+use ecfd_serve::{
+    report_hash, Client, Follower, Request, Response, ServeConfig, Server, ShardedConfig,
+};
 use ecfd_session::Session;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -212,8 +214,13 @@ fn follower_replays_to_the_leader_epoch() {
     let dir = temp_dir("follow");
 
     // Durable leader, in-process.
-    let (leader, _recovery) =
-        Server::bind_durable(ready_session(), ServeConfig::default(), &dir).unwrap();
+    let (leader, _recovery) = Server::bind_durable(
+        ready_session(),
+        ServeConfig::default(),
+        &ShardedConfig::default(),
+        &dir,
+    )
+    .unwrap();
     let leader_addr = leader.local_addr().unwrap();
     let leader_handle = leader.handle();
     let leader_thread = std::thread::spawn(move || leader.run().unwrap());
@@ -226,7 +233,12 @@ fn follower_replays_to_the_leader_epoch() {
 
     // Follower: an ordinary in-memory server over the same base, fed by
     // replaying the leader's log.
-    let follower_server = Server::bind(ready_session(), ServeConfig::default()).unwrap();
+    let follower_server = Server::bind(
+        ready_session(),
+        ServeConfig::default(),
+        &ShardedConfig::default(),
+    )
+    .unwrap();
     let follower_hub = follower_server.handle().hub().clone();
     let follower_handle = follower_server.handle();
     let follower_thread = std::thread::spawn(move || follower_server.run().unwrap());
@@ -236,8 +248,8 @@ fn follower_replays_to_the_leader_epoch() {
     assert_eq!(progress.deltas_applied, 5);
     assert!(progress.checkpoints_verified >= 1);
 
-    let leader_snap = leader_handle.hub().snapshot();
-    let follower_snap = follower_hub.snapshot();
+    let leader_snap = leader_handle.hub().view().unwrap();
+    let follower_snap = follower_hub.view().unwrap();
     assert_eq!(follower_snap.epoch(), leader_snap.epoch());
     assert_eq!(follower_snap.report(), leader_snap.report());
     assert_eq!(
@@ -254,8 +266,8 @@ fn follower_replays_to_the_leader_epoch() {
     assert_eq!(progress.deltas_applied, 4);
     assert_eq!(follower_hub.epoch(), leader_handle.hub().epoch());
     assert_eq!(
-        follower_hub.snapshot().report(),
-        leader_handle.hub().snapshot().report()
+        follower_hub.view().unwrap().report(),
+        leader_handle.hub().view().unwrap().report()
     );
 
     follower_handle.shutdown();
@@ -296,6 +308,50 @@ fn follow_flag_replicates_between_processes() {
         std::thread::sleep(Duration::from_millis(100));
     };
     assert_eq!(follower_line, leader_line);
+    drop(follower);
+    drop(leader);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Plain `serve` is `--shards 1`: a follower converges against a leader
+/// started with an explicit one-shard config, and `--follow` refuses to
+/// replicate into several shards.
+#[test]
+fn follow_flag_replicates_a_one_shard_leader() {
+    let dir = temp_dir("follow-one-shard");
+    let dir_flag = dir.to_str().unwrap();
+
+    let leader = spawn_serve(&["--shards", "1", "--shard-key", "CT", "--wal-dir", dir_flag]);
+    let mut feed = Client::connect(&leader.addr).unwrap();
+    for round in 0..4 {
+        feed.apply(vec![op(round)]).unwrap();
+    }
+    feed.sync().unwrap();
+    let leader_line = detect_fresh_line(&mut feed);
+
+    let follower = spawn_serve(&["--follow", &leader.addr]);
+    let mut observer = Client::connect(&follower.addr).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let line = detect_fresh_line(&mut observer);
+        if line == leader_line {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "follower never converged: leader `{leader_line}`, follower `{line}`"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+
+    let refused = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--addr", "127.0.0.1:0", "--follow", &leader.addr])
+        .args(["--shards", "2", "--shard-key", "CT"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .unwrap();
+    assert_eq!(refused.code(), Some(2), "--follow with --shards 2");
     drop(follower);
     drop(leader);
     std::fs::remove_dir_all(&dir).unwrap();

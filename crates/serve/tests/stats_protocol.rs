@@ -7,7 +7,7 @@
 
 use ecfd_obs::parse_exposition;
 use ecfd_serve::protocol::TupleOp;
-use ecfd_serve::{Client, Request, Response, ServeConfig, Server};
+use ecfd_serve::{Client, Request, Response, ServeConfig, Server, ShardedConfig};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write as _};
 use std::process::{Child, Command, Stdio};
@@ -298,7 +298,7 @@ fn hub_metrics_is_the_stats_registry() {
         .register_text("cust: [CT] -> [AC] | [], { {Albany} || {518} }")
         .unwrap();
 
-    let server = Server::bind(session, ServeConfig::default()).unwrap();
+    let server = Server::bind(session, ServeConfig::default(), &ShardedConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = server.handle();
     let hub = handle.hub().clone();

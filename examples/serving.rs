@@ -15,7 +15,7 @@
 
 use ecfd::prelude::*;
 use ecfd::serve::protocol::TupleOp;
-use ecfd::serve::{Client, ServeConfig, Server};
+use ecfd::serve::{Client, ServeConfig, Server, ShardedConfig};
 
 fn cust_session() -> Session {
     let schema = Schema::builder("cust")
@@ -51,7 +51,12 @@ fn cust_session() -> Session {
 
 fn main() {
     // ── start the server on an ephemeral port ────────────────────────────
-    let server = Server::bind(cust_session(), ServeConfig::default()).expect("bind");
+    let server = Server::bind(
+        cust_session(),
+        ServeConfig::default(),
+        &ShardedConfig::default(),
+    )
+    .expect("bind");
     let addr = server.local_addr().expect("addr");
     let handle = server.handle();
     println!("server listening on {addr}");
@@ -107,7 +112,7 @@ fn main() {
     client.quit().expect("QUIT");
 
     handle.shutdown();
-    let session = server_thread.join().expect("server thread");
+    let session = server_thread.join().expect("server thread").remove(0);
     println!(
         "server returned the session at version {} — shut down cleanly",
         session.version()

@@ -8,7 +8,7 @@
 
 use ecfd::prelude::*;
 use ecfd::serve::protocol::TupleOp;
-use ecfd::serve::{Client, Request, Response, ServeConfig, Server, Writer};
+use ecfd::serve::{Client, Request, Response, ServeConfig, Server, ShardedConfig, Writer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -197,7 +197,12 @@ fn snapshots_pin_their_epoch() {
 /// EXPLAIN/REPAIR-PLAN from two client connections, then shutdown.
 #[test]
 fn serve_binary_protocol_round_trips_over_tcp() {
-    let server = Server::bind(ready_session(), ServeConfig::default()).unwrap();
+    let server = Server::bind(
+        ready_session(),
+        ServeConfig::default(),
+        &ShardedConfig::default(),
+    )
+    .unwrap();
     let addr = server.local_addr().unwrap();
     let handle = server.handle();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
@@ -272,7 +277,7 @@ fn serve_binary_protocol_round_trips_over_tcp() {
     a.quit().unwrap();
     b.quit().unwrap();
     handle.shutdown();
-    let session = server_thread.join().unwrap();
+    let session = server_thread.join().unwrap().remove(0);
     // The returned session owns the final state: 8 rows, detect agrees with
     // what the last protocol answer said.
     assert_eq!(session.report().map(|r| r.total_rows), Some(8));
@@ -287,7 +292,7 @@ fn apply_backpressure_then_sync_completes() {
         queue_capacity: 1,
         ..ServeConfig::default()
     };
-    let server = Server::bind(ready_session(), config).unwrap();
+    let server = Server::bind(ready_session(), config, &ShardedConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = server.handle();
     let server_thread = std::thread::spawn(move || server.run().unwrap());
