@@ -114,10 +114,10 @@ impl IncrementalDetector {
     ) -> Result<Self> {
         let table = schema.name().to_string();
         ensure_flag_columns(catalog, &table)?;
-        let (report, groups) = {
-            let relation = catalog.get(&table)?;
-            semantic.detect_with_groups(relation)?
-        };
+        // The base-attribute view the maintainer keeps also seeds its groups.
+        let relation = catalog.get(&table)?;
+        let view = ColumnarView::build_prefix(relation, schema.arity(), &mut semantic.dict_write());
+        let (report, groups) = semantic.run(&view, schema, |pass| pass.group_map())?;
         crate::semantic::write_flags(catalog, &table, &report)?;
         let specs = semantic
             .bind(schema)?
@@ -128,11 +128,6 @@ impl IncrementalDetector {
                 rhs: b.rhs_ids().to_vec(),
             })
             .collect();
-        let view = {
-            let relation = catalog.get(&table)?;
-            let mut codec = semantic.codec().write();
-            ColumnarView::build_prefix(relation, schema.arity(), &mut codec.dict)
-        };
         Ok(IncrementalDetector {
             schema: schema.clone(),
             semantic,
@@ -161,9 +156,9 @@ impl IncrementalDetector {
         self.semantic.decode_key(key)
     }
 
-    /// The semantic detector whose codec this maintainer shares. Reader-side
-    /// code pairs it with [`IncrementalDetector::freeze`] to re-detect over a
-    /// snapshot without touching the live state.
+    /// The semantic detector whose dictionary this maintainer shares.
+    /// Reader-side code pairs it with [`IncrementalDetector::freeze`] to
+    /// re-detect over a snapshot without touching the live state.
     pub fn semantic(&self) -> &SemanticDetector {
         &self.semantic
     }
@@ -175,8 +170,8 @@ impl IncrementalDetector {
     /// incremental state is warm (the view is already encoded — no table
     /// re-encode happens, only the clone).
     pub fn freeze(&self) -> ecfd_relation::FrozenView {
-        let codec = self.semantic.codec().read();
-        ecfd_relation::FrozenView::new(self.view.clone(), codec.dict.clone())
+        let dict = self.semantic.dict_read();
+        ecfd_relation::FrozenView::new(self.view.clone(), dict.clone())
     }
 
     /// Number of groups currently violating their embedded FD.
@@ -198,7 +193,7 @@ impl IncrementalDetector {
         let relation = catalog.get(&self.table)?;
         let report = DetectionReport::from_flags(relation)?;
         let provenance = self.semantic.provenance();
-        let codec = self.semantic.codec().read();
+        let dict = self.semantic.dict_read();
 
         let mut evidence = EvidenceReport {
             total_rows: relation.len(),
@@ -230,7 +225,7 @@ impl IncrementalDetector {
             let (constraint, pattern) = provenance[*ci];
             evidence.mv_groups.push(MvEvidence {
                 source: ConstraintRef::new(constraint, pattern),
-                group_key: codec.dict.decode_all(lhs_key.as_slice()),
+                group_key: dict.decode_all(lhs_key.as_slice()),
                 rows: state.rows.iter().copied().collect(),
             });
         }
@@ -276,7 +271,6 @@ impl IncrementalDetector {
         }
         let table = self.table.clone();
         let relation = catalog.get_mut(&table)?;
-        let codec_arc = self.semantic.codec().clone();
 
         for victim in deletions {
             // A victim with the wrong arity cannot equal any base tuple —
@@ -289,12 +283,8 @@ impl IncrementalDetector {
             // never interned cannot equal any encoded stored value, so the
             // victim matches nothing.
             let victim_codes: Option<Vec<Code>> = {
-                let codec = codec_arc.read();
-                victim
-                    .values()
-                    .iter()
-                    .map(|v| codec.dict.try_encode(v))
-                    .collect()
+                let dict = self.semantic.dict_read();
+                victim.values().iter().map(|v| dict.try_encode(v)).collect()
             };
             let Some(victim_codes) = victim_codes else {
                 continue;
@@ -379,10 +369,9 @@ impl IncrementalDetector {
         }
         let table = self.table.clone();
         let relation = catalog.get_mut(&table)?;
-        let codec_arc = self.semantic.codec().clone();
 
         for tuple in insertions {
-            let codes: Vec<Code> = codec_arc.write().dict.encode_tuple(tuple);
+            let codes: Vec<Code> = self.semantic.dict_write().encode_tuple(tuple);
             // Step 1 plus steps 2a/2d: the SV check on the new tuple alone,
             // and the predicted group states after it joins.
             let mut sv = false;

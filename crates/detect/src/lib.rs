@@ -28,8 +28,12 @@
 //!   differential testing and as the "native" baseline in the ablation
 //!   benchmarks. It runs on the dictionary-encoded columnar core of
 //!   `ecfd_relation::columnar` — pattern constants resolve to codes once at
-//!   construction, and the scan shards across worker threads
-//!   ([`parallel::Parallelism`]).
+//!   construction.
+//! * [`engine`] is the group-then-match pass behind every full native
+//!   detection (the semantic detector's and `ecfd_plan`'s columnar
+//!   driver's): rows are grouped once per fused `X` list, and LHS matches,
+//!   single-tuple and multi-tuple violations are decided per group. Only the
+//!   grouping pass fans out across worker threads ([`parallel::Parallelism`]).
 //!
 //! * [`evidence`] extends all three detectors beyond the paper's flags: an
 //!   [`EvidenceReport`] names, for every flagged row, the violated constraint
@@ -70,6 +74,7 @@
 pub mod backend;
 pub mod batch;
 pub mod encode;
+pub mod engine;
 pub mod evidence;
 pub mod incremental;
 mod obs;

@@ -14,7 +14,9 @@ use std::time::Duration;
 ///   `semantic`, `sql`, or `incremental`;
 /// * `detect.rows.scanned` — rows the pass examined (for incremental passes:
 ///   delta tuples processed plus rows reflagged);
-/// * `detect.groups.merged` — enforcement groups materialised or touched;
+/// * `detect.groups.merged` — full passes: group ids the engine assigned,
+///   summed over the fused `X` lists (whatever the pattern count);
+///   incremental passes: groups whose violation status changed;
 /// * `detect.violations` — flagged violations the pass reported (full passes
 ///   only; incremental passes maintain flags in place and pass 0).
 pub(crate) fn record_pass(

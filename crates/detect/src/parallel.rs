@@ -1,14 +1,15 @@
 //! Detection parallelism: how many `std::thread::scope` workers a detection
 //! pass fans out across.
 //!
-//! The semantic detector hash-partitions enforcement groups on their coded
-//! `X`-projection (see [`ecfd_relation::columnar::shard_of`]) so that every
-//! member of a group lands on the same shard no matter which row-chunk
-//! worker scanned it; the per-shard merges and the final report assembly are
-//! deterministic, so the same data produces byte-identical
-//! [`DetectionReport`](crate::DetectionReport)s and (normalized)
-//! [`EvidenceReport`](crate::EvidenceReport)s at 1 and N threads — a
-//! property the differential test suite asserts.
+//! The group-then-match engine ([`crate::engine`]) chunks only its
+//! row-proportional grouping pass: every worker numbers the `X` projections
+//! of one contiguous row chunk (`split_ranges`), and the chunks merge in
+//! order, so group ids come out in the same first-seen order as a
+//! sequential pass. Everything downstream is per group and sequential, so
+//! the same data produces byte-identical
+//! [`DetectionReport`](crate::DetectionReport)s, (normalized)
+//! [`EvidenceReport`](crate::EvidenceReport)s and group maps at 1 and N
+//! workers — a property the differential test suite asserts.
 
 /// How many worker threads detection fans out across.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,30 +34,26 @@ impl Parallelism {
     }
 }
 
-/// Minimum number of per-worker `(row, constraint)` match tests below which
+/// Minimum number of per-worker `(row, X-list)` groupings below which
 /// spinning up a thread costs more than it saves.
 const MIN_WORK_PER_WORKER: usize = 4096;
 
-/// Clamps the requested worker count to what the scan size justifies: small
-/// relations (or tiny constraint sets) run sequentially regardless of the
-/// configured parallelism.
-pub(crate) fn effective_threads(
-    parallelism: Parallelism,
-    rows: usize,
-    constraints: usize,
-) -> usize {
+/// Clamps the requested worker count to what the grouping work (`rows`
+/// times the number of fused `X` lists) justifies: small relations run
+/// sequentially regardless of the configured parallelism.
+pub(crate) fn effective_threads(parallelism: Parallelism, rows: usize, x_lists: usize) -> usize {
     let requested = parallelism.threads();
     if requested <= 1 {
         return 1;
     }
-    let work = rows.saturating_mul(constraints.max(1));
+    let work = rows.saturating_mul(x_lists.max(1));
     requested
         .min((work / MIN_WORK_PER_WORKER).max(1))
         .min(rows.max(1))
 }
 
 /// Splits `0..n` into `parts` contiguous, near-equal ranges (the row chunks
-/// of the phase-1 scan workers).
+/// of the grouping workers).
 pub(crate) fn split_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
     let parts = parts.max(1);
     let base = n / parts;

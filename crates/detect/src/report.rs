@@ -42,7 +42,7 @@ impl DetectionReport {
 
     /// Number of distinct violating rows.
     pub fn num_violations(&self) -> usize {
-        self.violating_rows().len()
+        self.sv_rows.union(&self.mv_rows).count()
     }
 
     /// True when no row violates any constraint.

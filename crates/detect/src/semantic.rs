@@ -9,31 +9,32 @@
 //! * it is the "native" baseline of the `bench_sql_vs_native` ablation; and
 //! * it is the system's fast path: rows are encoded once into a
 //!   [`ColumnarView`], pattern constants are pre-resolved to [`Code`]s at
-//!   construction (registration) time, group keys are [`CodeVec`] code
-//!   slices instead of cloned `Vec<Value>`s, and the scan hash-partitions
-//!   enforcement groups on the coded `X`-projection so it can fan out
-//!   across `std::thread::scope` workers (see [`crate::parallel`]).
+//!   construction (registration) time, and every pass runs the
+//!   group-then-match [`engine`](crate::engine): rows are grouped once per
+//!   fused `X` attribute list, and LHS matches, single-tuple and
+//!   multi-tuple violations are decided per group rather than per
+//!   `(row, pattern)`. Each entry point builds only the outputs it returns
+//!   — flags, evidence, or the group map.
 //!
 //! It also exposes the group bookkeeping (`(CID, X-projection) → distinct Y
 //! projections + member rows`) that the incremental detector maintains.
 //!
 //! [`Code`]: ecfd_relation::Code
 
+use crate::engine::{Pass, Scan};
 use crate::evidence::{ConstraintRef, EvidenceReport, MvEvidence, SvEvidence};
-use crate::parallel::{effective_threads, split_ranges, Parallelism};
+use crate::parallel::Parallelism;
 use crate::report::DetectionReport;
 use crate::Result;
 use ecfd_core::coded::{intern_singles, CodedSingle};
 use ecfd_core::matching::BoundECfd;
 use ecfd_core::normalize::split_patterns;
 use ecfd_core::ECfd;
-use ecfd_relation::columnar::shard_of;
 use ecfd_relation::{
     AttrId, Catalog, CodeMap, CodeVec, ColumnarView, Dictionary, FrozenView, Relation, RowId,
     Schema, Tuple, Value,
 };
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A key identifying one enforcement group: the single-pattern constraint id
 /// (index into the split constraint list) plus the tuple's coded `X`
@@ -66,29 +67,6 @@ impl GroupState {
     pub fn violates(&self) -> bool {
         self.y_counts.len() > 1
     }
-
-    /// Merges another partial state into this one (summing counts,
-    /// concatenating member lists in argument order).
-    fn absorb(&mut self, other: GroupState) {
-        for (y, count) in other.y_counts {
-            *self.y_counts.entry(y).or_insert(0) += count;
-        }
-        self.rows.extend(other.rows);
-    }
-}
-
-/// The constraint codec shared by every clone of a detector (and by the
-/// incremental detector built on top of it): one [`Dictionary`] per compiled
-/// constraint set. The dictionary only grows — interning data values never
-/// invalidates the pattern codes resolved at construction time.
-///
-/// The coded pattern cells themselves live *outside* this lock (they are
-/// immutable after construction, see [`SemanticDetector`]), so read-only
-/// detection over a [`FrozenView`] never takes it.
-#[derive(Debug)]
-pub(crate) struct Codec {
-    /// The issuing dictionary for pattern constants and data values alike.
-    pub(crate) dict: Dictionary,
 }
 
 /// The native detector.
@@ -101,13 +79,18 @@ pub struct SemanticDetector {
     /// original constraints.
     provenance: Vec<(usize, usize)>,
     /// Coded pattern cells, parallel to the split single-pattern constraints.
-    /// Interned once at construction against the codec dictionary's *initial*
-    /// state; immutable afterwards, so they are shared outside the codec lock
-    /// and stay valid against every later dictionary state (grow-only
-    /// interning) — including the dictionary clone inside any [`FrozenView`]
-    /// descended from this detector's codec.
+    /// Interned once at construction against the dictionary's *initial*
+    /// state; immutable afterwards, so they are shared outside the
+    /// dictionary lock and stay valid against every later dictionary state
+    /// (grow-only interning) — including the dictionary clone inside any
+    /// [`FrozenView`] descended from this detector's dictionary.
     cells: Arc<Vec<CodedSingle>>,
-    codec: Arc<RwLock<Codec>>,
+    /// The issuing dictionary for pattern constants and data values alike,
+    /// shared by every clone of the detector and by the incremental detector
+    /// built on top of it. It only grows, so interning data never
+    /// invalidates the pattern codes; read-only detection over a
+    /// [`FrozenView`] never takes its lock.
+    dict: Arc<RwLock<Dictionary>>,
     parallelism: Parallelism,
 }
 
@@ -148,7 +131,7 @@ impl SemanticDetector {
             singles,
             provenance,
             cells: Arc::new(cells),
-            codec: Arc::new(RwLock::new(Codec { dict })),
+            dict: Arc::new(RwLock::new(dict)),
             parallelism: Parallelism::default(),
         }
     }
@@ -186,67 +169,61 @@ impl SemanticDetector {
         &self.provenance
     }
 
-    /// The shared codec (the issuing dictionary). Crate-internal: the
-    /// incremental detector maintains its view and group state through the
-    /// same dictionary.
-    pub(crate) fn codec(&self) -> &Arc<RwLock<Codec>> {
-        &self.codec
+    /// Read access to the shared dictionary. Crate-internal: the
+    /// incremental detector maintains its view and group state through it. A
+    /// poisoned lock is recovered: the dictionary only grows, so a panicked
+    /// writer leaves it consistent.
+    pub(crate) fn dict_read(&self) -> RwLockReadGuard<'_, Dictionary> {
+        self.dict.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Write access to the shared dictionary; see
+    /// [`SemanticDetector::dict_read`].
+    pub(crate) fn dict_write(&self) -> RwLockWriteGuard<'_, Dictionary> {
+        self.dict.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The coded pattern cells, parallel to [`SemanticDetector::singles`].
-    /// Immutable after construction and held outside the codec lock.
+    /// Immutable after construction and held outside the dictionary lock.
     pub(crate) fn cells(&self) -> &[CodedSingle] {
         &self.cells
     }
 
-    /// Encodes a tuple projection into a coded group key through the
-    /// detector's dictionary (interning unseen values). This is how the
-    /// repair layer keys its conflict classes by the same codes the
-    /// detectors group on. Prefer [`SemanticDetector::encode_keys`] for
-    /// many tuples — it takes the dictionary lock once.
-    pub fn encode_key(&self, tuple: &Tuple, attrs: &[AttrId]) -> CodeVec {
-        let mut codec = self.codec.write();
-        CodeVec::from_iter_exact(attrs.iter().map(|a| codec.dict.encode(tuple.value(*a))))
-    }
-
-    /// Encodes the same projection of many tuples under a single dictionary
-    /// lock, in input order.
+    /// Encodes the same projection of many tuples into coded keys through
+    /// the detector's dictionary (interning unseen values), under a single
+    /// lock, in input order. This is how the repair layer keys its conflict
+    /// classes by the same codes the detectors group on.
     pub fn encode_keys<'t>(
         &self,
         tuples: impl IntoIterator<Item = &'t Tuple>,
         attrs: &[AttrId],
     ) -> Vec<CodeVec> {
-        let mut codec = self.codec.write();
+        let mut dict = self.dict_write();
         tuples
             .into_iter()
             .map(|tuple| {
-                CodeVec::from_iter_exact(attrs.iter().map(|a| codec.dict.encode(tuple.value(*a))))
+                CodeVec::from_iter_exact(attrs.iter().map(|a| dict.encode(tuple.value(*a))))
             })
             .collect()
     }
 
     /// Decodes a coded group key back to the values it was issued for.
     pub fn decode_key(&self, key: &CodeVec) -> Vec<Value> {
-        self.codec.read().dict.decode_all(key.as_slice())
+        self.dict_read().decode_all(key.as_slice())
     }
 
     /// Detects violations in a relation, returning the report without
-    /// modifying the relation.
+    /// modifying the relation. Builds only the flags (no evidence, no group
+    /// state).
     pub fn detect(&self, relation: &Relation) -> Result<DetectionReport> {
-        let (report, _) = self.detect_with_groups(relation)?;
+        let (report, ()) = self.detect_relation(relation, |_, _| ())?;
         Ok(report)
-    }
-
-    /// Detects violations in the named catalog table.
-    pub fn detect_in_catalog(&self, catalog: &Catalog, table: &str) -> Result<DetectionReport> {
-        self.detect(catalog.get(table)?)
     }
 
     /// Detects violations and also returns the group state, which is the seed
     /// state of the incremental detector.
     pub fn detect_with_groups(&self, relation: &Relation) -> Result<(DetectionReport, GroupMap)> {
-        let (report, _, groups) = self.detect_full(relation)?;
-        Ok((report, groups))
+        self.detect_relation(relation, |pass, _| pass.group_map())
     }
 
     /// Detects violations and explains them: alongside the flag-level report,
@@ -257,34 +234,25 @@ impl SemanticDetector {
         &self,
         relation: &Relation,
     ) -> Result<(DetectionReport, EvidenceReport)> {
-        let (report, evidence, _) = self.detect_full(relation)?;
-        Ok((report, evidence))
+        self.detect_relation(relation, |pass, dict| pass.evidence(&self.provenance, dict))
     }
 
-    /// The full scan behind every `detect*` entry point: flags, evidence and
-    /// group state in one (possibly parallel) pass over the relation.
-    ///
-    /// The scan runs in two phases. Phase 1 splits the rows into contiguous
-    /// chunks, one `std::thread::scope` worker each; a worker evaluates the
-    /// coded pattern cells against the view's code columns and partitions
-    /// its partial group states by `shard_of(ci, X-codes)`. Phase 2 merges
-    /// each shard's partials (all members of a group land in one shard) and
-    /// derives the multi-tuple violations. Both phases are deterministic, so
-    /// 1 worker and N workers produce identical reports, evidence and group
-    /// maps.
+    /// Flags, evidence and group state from one engine pass over the
+    /// relation (see [`crate::engine`]). The output is identical at every
+    /// worker count.
     pub fn detect_full(
         &self,
         relation: &Relation,
     ) -> Result<(DetectionReport, EvidenceReport, GroupMap)> {
-        let bounds = self.bind(relation.schema())?;
-        let mut codec_guard = self.codec.write();
-        let view = ColumnarView::build(relation, &mut codec_guard.dict);
-        Ok(self.scan_view(&view, &codec_guard.dict, &bounds, relation.len()))
+        let (report, (evidence, groups)) = self.detect_relation(relation, |pass, dict| {
+            (pass.evidence(&self.provenance, dict), pass.group_map())
+        })?;
+        Ok((report, evidence, groups))
     }
 
     /// Runs a full, read-only detection pass over a [`FrozenView`] — the
     /// serving layer's reader path. The frozen dictionary must descend from
-    /// this detector's codec (e.g. produced by [`SemanticDetector::freeze`]
+    /// this detector's dictionary (e.g. produced by [`SemanticDetector::freeze`]
     /// or `IncrementalDetector::freeze`), so the pattern cells coded at
     /// construction time match its codes. Nothing is locked and nothing is
     /// interned: any number of threads can run this concurrently against the
@@ -296,10 +264,21 @@ impl SemanticDetector {
         frozen: &FrozenView,
         schema: &Schema,
     ) -> Result<(DetectionReport, EvidenceReport)> {
-        let bounds = self.bind(schema)?;
-        let (report, evidence, _) =
-            self.scan_view(frozen.view(), frozen.dict(), &bounds, frozen.num_rows());
-        Ok((report, evidence))
+        self.run(frozen.view(), schema, |pass| {
+            pass.evidence(&self.provenance, frozen.dict())
+        })
+    }
+
+    /// [`SemanticDetector::detect_frozen`] without the evidence: the flags
+    /// come straight from the engine's per-group decisions, so no member
+    /// list or evidence record is built.
+    pub fn detect_frozen_report(
+        &self,
+        frozen: &FrozenView,
+        schema: &Schema,
+    ) -> Result<DetectionReport> {
+        let (report, ()) = self.run(frozen.view(), schema, |_| ())?;
+        Ok(report)
     }
 
     /// Encodes the first `base_arity` attributes of `relation` through the
@@ -309,120 +288,45 @@ impl SemanticDetector {
     /// synchronisation. This is the snapshot-extraction primitive of the
     /// serving layer.
     pub fn freeze(&self, relation: &Relation, base_arity: usize) -> FrozenView {
-        let mut codec = self.codec.write();
-        let view = ColumnarView::build_prefix(relation, base_arity, &mut codec.dict);
-        FrozenView::new(view, codec.dict.clone())
+        let mut dict = self.dict_write();
+        let view = ColumnarView::build_prefix(relation, base_arity, &mut dict);
+        FrozenView::new(view, dict.clone())
     }
 
-    /// The shared two-phase scan: flags, evidence and group state from one
-    /// (possibly parallel) pass over an already-encoded view. `dict` must be
-    /// the dictionary state (or a later state of the same lineage) that
-    /// issued the view's codes.
-    fn scan_view(
+    /// Encodes `relation` through the shared dictionary and runs one engine
+    /// pass over it; `out` builds the demanded outputs under the same lock.
+    fn detect_relation<T>(
+        &self,
+        relation: &Relation,
+        out: impl FnOnce(&Pass<'_>, &Dictionary) -> T,
+    ) -> Result<(DetectionReport, T)> {
+        let mut dict = self.dict_write();
+        let view = ColumnarView::build(relation, &mut dict);
+        self.run(&view, relation.schema(), |pass| out(pass, &dict))
+    }
+
+    /// One engine pass over an encoded view: the report always, plus
+    /// whatever `out` builds from the pass. Recorded as
+    /// `detect.pass.ns{backend="semantic"}`.
+    pub(crate) fn run<T>(
         &self,
         view: &ColumnarView,
-        dict: &Dictionary,
-        bounds: &[BoundECfd<'_>],
-        total_rows: usize,
-    ) -> (DetectionReport, EvidenceReport, GroupMap) {
-        let pass_started = std::time::Instant::now();
-        let cells: &[CodedSingle] = &self.cells;
-        let n_rows = view.num_rows();
-        let threads = effective_threads(self.parallelism, n_rows, self.singles.len());
-        let n_shards = threads;
-
-        // Phase 1: chunked row scan.
-        let chunks: Vec<ChunkOut> = if threads <= 1 {
-            vec![scan_chunk(view, bounds, cells, 0, n_rows, 1)]
-        } else {
-            let ranges = split_ranges(n_rows, threads);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        s.spawn(move || scan_chunk(view, bounds, cells, lo, hi, n_shards))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("detection worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Transpose the per-chunk, per-shard partials into per-shard inputs
-        // (chunk order preserved so member lists merge in global row order).
-        let mut sv_pairs: Vec<(RowId, usize)> = Vec::new();
-        let mut shard_inputs: Vec<Vec<CodeMap<GroupKey, GroupState>>> = (0..n_shards)
-            .map(|_| Vec::with_capacity(chunks.len()))
-            .collect();
-        for chunk in chunks {
-            sv_pairs.extend(chunk.sv);
-            for (shard, part) in chunk.parts.into_iter().enumerate() {
-                shard_inputs[shard].push(part);
-            }
-        }
-
-        // Phase 2: per-shard merge; every member of a group is in exactly one
-        // shard, so merges are independent.
-        let shard_outs: Vec<ShardOut> = if threads <= 1 {
-            shard_inputs
-                .into_iter()
-                .map(|parts| merge_shard(parts, &self.provenance, dict))
-                .collect()
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = shard_inputs
-                    .into_iter()
-                    .map(|parts| {
-                        let provenance = &self.provenance;
-                        s.spawn(move || merge_shard(parts, provenance, dict))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("merge worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Deterministic assembly: reports are sorted sets, evidence is
-        // normalized, the group map is a union of disjoint shard maps.
-        let mut report = DetectionReport {
-            total_rows,
-            ..Default::default()
-        };
-        let mut evidence = EvidenceReport {
-            total_rows,
-            ..Default::default()
-        };
-        for (row, ci) in sv_pairs {
-            report.sv_rows.insert(row);
-            let (constraint, pattern) = self.provenance[ci];
-            evidence.sv.push(SvEvidence {
-                row,
-                source: ConstraintRef::new(constraint, pattern),
-            });
-        }
-        let mut groups = GroupMap::default();
-        for shard in shard_outs {
-            report.mv_rows.extend(shard.mv_rows);
-            evidence.mv_groups.extend(shard.mv_groups);
-            if groups.is_empty() {
-                groups = shard.groups;
-            } else {
-                groups.extend(shard.groups);
-            }
-        }
-        evidence.normalize();
+        schema: &Schema,
+        out: impl FnOnce(&Pass<'_>) -> T,
+    ) -> Result<(DetectionReport, T)> {
+        let started = std::time::Instant::now();
+        let scans = Scan::fuse(&self.bind(schema)?);
+        let pass = Pass::run(view, &scans, &self.cells, self.parallelism);
+        let report = pass.report();
+        let extra = out(&pass);
         crate::obs::record_pass(
             "semantic",
-            n_rows as u64,
-            groups.len() as u64,
+            view.num_rows() as u64,
+            pass.num_groups() as u64,
             report.num_violations() as u64,
-            pass_started.elapsed(),
+            started.elapsed(),
         );
-        (report, evidence, groups)
+        Ok((report, extra))
     }
 
     /// Detects violations and writes the `SV` / `MV` flag columns of the named
@@ -481,9 +385,9 @@ impl SemanticDetector {
         schema: &Schema,
         aligned: &[bool],
     ) -> Result<ShardPartial> {
-        let bounds = self.bind(schema)?;
-        let (_, evidence, groups) =
-            self.scan_view(frozen.view(), frozen.dict(), &bounds, frozen.num_rows());
+        let (_, (sv, groups)) = self.run(frozen.view(), schema, |pass| {
+            (pass.sv_evidence(&self.provenance), pass.group_map())
+        })?;
         let dict = frozen.dict();
         let mut local_mv = Vec::new();
         let mut open = Vec::new();
@@ -512,7 +416,7 @@ impl SemanticDetector {
         }
         Ok(ShardPartial {
             total_rows: frozen.num_rows(),
-            sv: evidence.sv,
+            sv,
             local_mv,
             open,
         })
@@ -610,102 +514,6 @@ pub struct ShardPartial {
 struct MergedGroup {
     y_counts: std::collections::BTreeMap<Vec<Value>, usize>,
     rows: Vec<RowId>,
-}
-
-/// What one phase-1 worker produces for its row chunk.
-struct ChunkOut {
-    /// `(row, split-constraint)` single-tuple violations, in row order.
-    sv: Vec<(RowId, usize)>,
-    /// Partial group states, partitioned by `shard_of(ci, X-codes)`.
-    parts: Vec<CodeMap<GroupKey, GroupState>>,
-}
-
-/// Phase 1: scans rows `lo..hi` of the view against every coded constraint.
-fn scan_chunk(
-    view: &ColumnarView,
-    bounds: &[BoundECfd<'_>],
-    coded: &[CodedSingle],
-    lo: usize,
-    hi: usize,
-    n_shards: usize,
-) -> ChunkOut {
-    let mut out = ChunkOut {
-        sv: Vec::new(),
-        parts: vec![CodeMap::default(); n_shards],
-    };
-    for pos in lo..hi {
-        let row_id = view.row_id(pos);
-        for (ci, bound) in bounds.iter().enumerate() {
-            let cells = &coded[ci];
-            if !cells.lhs_matches(bound.lhs_ids().iter().map(|a| view.code(pos, *a))) {
-                continue;
-            }
-            if !cells.rhs_matches(bound.rhs_ids().iter().map(|a| view.code(pos, *a))) {
-                out.sv.push((row_id, ci));
-            }
-            if !bound.fd_rhs_ids().is_empty() {
-                let key = view.key(pos, bound.lhs_ids());
-                let shard = if n_shards == 1 {
-                    0
-                } else {
-                    shard_of(ci, &key, n_shards)
-                };
-                let y = view.key(pos, bound.fd_rhs_ids());
-                // One key allocation serves count and membership bookkeeping.
-                let state = out.parts[shard].entry((ci, key)).or_default();
-                *state.y_counts.entry(y).or_insert(0) += 1;
-                state.rows.push(row_id);
-            }
-        }
-    }
-    out
-}
-
-/// What one phase-2 worker produces for its shard.
-struct ShardOut {
-    groups: CodeMap<GroupKey, GroupState>,
-    mv_rows: Vec<RowId>,
-    mv_groups: Vec<MvEvidence>,
-}
-
-/// Phase 2: merges one shard's partial group states (in chunk order, so
-/// member lists end up in global row order) and derives the multi-tuple
-/// violations.
-fn merge_shard(
-    parts: Vec<CodeMap<GroupKey, GroupState>>,
-    provenance: &[(usize, usize)],
-    dict: &Dictionary,
-) -> ShardOut {
-    let mut iter = parts.into_iter();
-    let mut groups = iter.next().unwrap_or_default();
-    for part in iter {
-        for (key, state) in part {
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().absorb(state),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(state);
-                }
-            }
-        }
-    }
-    let mut mv_rows = Vec::new();
-    let mut mv_groups = Vec::new();
-    for ((ci, key), state) in &groups {
-        if state.violates() {
-            mv_rows.extend(state.rows.iter().copied());
-            let (constraint, pattern) = provenance[*ci];
-            mv_groups.push(MvEvidence {
-                source: ConstraintRef::new(constraint, pattern),
-                group_key: dict.decode_all(key.as_slice()),
-                rows: state.rows.iter().copied().collect(),
-            });
-        }
-    }
-    ShardOut {
-        groups,
-        mv_rows,
-        mv_groups,
-    }
 }
 
 /// Adds integer `SV` / `MV` columns (initialised to 0) to `table` if absent,

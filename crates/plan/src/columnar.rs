@@ -1,12 +1,11 @@
-//! The columnar driver: interprets a [`Plan`]'s scan/flag operators over the
-//! dictionary-coded columnar core, with the same two-phase sharded parallel
-//! scan as the semantic reference detector.
+//! The columnar driver: runs a [`Plan`] over the dictionary-coded columnar
+//! core through the detection layer's group-then-match engine
+//! ([`ecfd_detect::engine`]).
 //!
-//! The operational difference between this interpreter and the semantic
-//! detector is what the plan layer exists for: a *fused* plan computes each
-//! shared scan's coded `X` projection **once per row** and lets every member
-//! flag operator match against the same projection, where the per-constraint
-//! detectors (and the unfused baseline plan) re-project `X` once per
+//! Each of the plan's [`ScanNode`]s becomes one engine scan: the rows are
+//! grouped once on the scan's `X` list, and every member flag operator is
+//! matched once per group rather than once per row. A *fused* plan
+//! therefore groups once per distinct `X`, the unfused baseline once per
 //! constraint. The observable outputs are identical by contract — reports
 //! and normalized evidence match the semantic detector byte-for-byte at any
 //! worker count — only the work to produce them changes.
@@ -15,46 +14,11 @@ use crate::driver::{Capability, Driver, ExecOutcome};
 use crate::mir::{Plan, ScanNode};
 use crate::Result;
 use ecfd_core::coded::{intern_singles, CodedSingle};
-use ecfd_detect::semantic::{ensure_flag_columns, write_flags, GroupKey, GroupMap, GroupState};
-use ecfd_detect::{
-    ConstraintRef, DetectionReport, EvidenceReport, MvEvidence, Parallelism, SvEvidence,
-};
-use ecfd_relation::columnar::shard_of;
-use ecfd_relation::{Catalog, CodeMap, ColumnarView, Dictionary, RowId};
+use ecfd_detect::engine::{Pass, Scan};
+use ecfd_detect::semantic::{ensure_flag_columns, write_flags};
+use ecfd_detect::Parallelism;
+use ecfd_relation::{Catalog, ColumnarView, Dictionary};
 use std::sync::Arc;
-
-/// Minimum per-worker `(row, flag-operator)` visits below which spinning up
-/// a thread costs more than it saves. Matches the semantic detector's
-/// cutoff, so plan and semantic passes choose the same fan-out for the same
-/// workload.
-const MIN_WORK_PER_WORKER: usize = 4096;
-
-/// Clamps the requested worker count to what the scan size justifies.
-fn effective_threads(parallelism: Parallelism, rows: usize, flags: usize) -> usize {
-    let requested = parallelism.threads();
-    if requested <= 1 {
-        return 1;
-    }
-    let work = rows.saturating_mul(flags.max(1));
-    requested
-        .min((work / MIN_WORK_PER_WORKER).max(1))
-        .min(rows.max(1))
-}
-
-/// Splits `0..n` into `parts` contiguous, near-equal ranges.
-fn split_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.max(1);
-    let base = n / parts;
-    let extra = n % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut lo = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        ranges.push((lo, lo + len));
-        lo += len;
-    }
-    ranges
-}
 
 /// Executes plan operators natively over [`ColumnarView`]s
 /// ([`Capability::ColumnarScan`]).
@@ -66,6 +30,8 @@ fn split_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
 #[derive(Debug)]
 pub struct ColumnarDriver {
     plan: Arc<Plan>,
+    /// The plan's scan operators as engine scans.
+    scans: Vec<Scan>,
     /// Coded pattern cells, parallel to the set's split constraints.
     cells: Vec<CodedSingle>,
     /// `(constraint, pattern)` provenance per split constraint.
@@ -87,10 +53,16 @@ impl ColumnarDriver {
             .collect();
         let mut dict = Dictionary::new();
         let cells = intern_singles(&singles, &mut dict);
+        let scan = |s: &ScanNode| Scan {
+            x: s.x.clone(),
+            members: s.members.iter().map(|f| f.member.clone()).collect(),
+        };
+        let scans = plan.scans().iter().map(scan).collect();
         let provenance = plan.set().provenance();
         let table = plan.set().schema().name().to_string();
         ColumnarDriver {
             plan,
+            scans,
             cells,
             provenance,
             dict,
@@ -120,242 +92,18 @@ impl Driver for ColumnarDriver {
 
     fn execute(&mut self, catalog: &mut Catalog) -> Result<ExecOutcome> {
         ensure_flag_columns(catalog, &self.table)?;
-        let (report, evidence, groups, rows_scanned) = {
+        let outcome = {
             let relation = catalog.get(&self.table)?;
-            let total_rows = relation.len();
             let view = ColumnarView::build(relation, &mut self.dict);
-            let n_rows = view.num_rows();
-            let scans = self.plan.scans();
-            let threads = effective_threads(self.parallelism, n_rows, self.plan.num_flags());
-            let n_shards = threads;
-
-            // Phase 1: chunked row scan over the plan's scan operators.
-            let cells: &[CodedSingle] = &self.cells;
-            let chunks: Vec<ChunkOut> = if threads <= 1 {
-                vec![scan_chunk(&view, scans, cells, 0, n_rows, 1)]
-            } else {
-                let ranges = split_ranges(n_rows, threads);
-                let view = &view;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = ranges
-                        .iter()
-                        .map(|&(lo, hi)| {
-                            s.spawn(move || scan_chunk(view, scans, cells, lo, hi, n_shards))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("plan scan worker panicked"))
-                        .collect()
-                })
-            };
-
-            // Transpose per-chunk, per-shard partials into per-shard inputs
-            // (chunk order preserved so member lists merge in row order).
-            let mut sv_pairs: Vec<(RowId, usize)> = Vec::new();
-            let mut shard_inputs: Vec<Vec<CodeMap<GroupKey, GroupState>>> = (0..n_shards)
-                .map(|_| Vec::with_capacity(chunks.len()))
-                .collect();
-            for chunk in chunks {
-                sv_pairs.extend(chunk.sv);
-                for (shard, part) in chunk.parts.into_iter().enumerate() {
-                    shard_inputs[shard].push(part);
-                }
+            let pass = Pass::run(&view, &self.scans, &self.cells, self.parallelism);
+            ExecOutcome {
+                report: pass.report(),
+                evidence: pass.evidence(&self.provenance, &self.dict),
+                groups: pass.num_groups() as u64,
+                rows_scanned: view.num_rows() as u64,
             }
-
-            // Phase 2: per-shard merge; every member of a group is in exactly
-            // one shard, so merges are independent.
-            let dict = &self.dict;
-            let provenance = &self.provenance;
-            let shard_outs: Vec<ShardOut> = if threads <= 1 {
-                shard_inputs
-                    .into_iter()
-                    .map(|parts| merge_shard(parts, provenance, dict))
-                    .collect()
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = shard_inputs
-                        .into_iter()
-                        .map(|parts| s.spawn(move || merge_shard(parts, provenance, dict)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("plan merge worker panicked"))
-                        .collect()
-                })
-            };
-
-            // Deterministic assembly, identical to the semantic detector's.
-            let mut report = DetectionReport {
-                total_rows,
-                ..Default::default()
-            };
-            let mut evidence = EvidenceReport {
-                total_rows,
-                ..Default::default()
-            };
-            for (row, ci) in sv_pairs {
-                report.sv_rows.insert(row);
-                let (constraint, pattern) = self.provenance[ci];
-                evidence.sv.push(SvEvidence {
-                    row,
-                    source: ConstraintRef::new(constraint, pattern),
-                });
-            }
-            let mut groups = GroupMap::default();
-            for shard in shard_outs {
-                report.mv_rows.extend(shard.mv_rows);
-                evidence.mv_groups.extend(shard.mv_groups);
-                if groups.is_empty() {
-                    groups = shard.groups;
-                } else {
-                    groups.extend(shard.groups);
-                }
-            }
-            evidence.normalize();
-            (report, evidence, groups.len() as u64, n_rows as u64)
         };
-        write_flags(catalog, &self.table, &report)?;
-        Ok(ExecOutcome {
-            report,
-            evidence,
-            groups,
-            rows_scanned,
-        })
-    }
-}
-
-/// What one phase-1 worker produces for its row chunk.
-struct ChunkOut {
-    /// `(row, split-constraint)` single-tuple violations, in visit order.
-    sv: Vec<(RowId, usize)>,
-    /// Partial group states, partitioned by `shard_of(ci, X-codes)`.
-    parts: Vec<CodeMap<GroupKey, GroupState>>,
-}
-
-/// Phase 1: scans rows `lo..hi` of the view, executing every scan operator.
-/// The fused payoff lives here: `view.key(pos, scan.x)` runs once per
-/// `(row, scan)` and every member flag operator matches the shared
-/// projection.
-fn scan_chunk(
-    view: &ColumnarView,
-    scans: &[ScanNode],
-    cells: &[CodedSingle],
-    lo: usize,
-    hi: usize,
-    n_shards: usize,
-) -> ChunkOut {
-    let mut out = ChunkOut {
-        sv: Vec::new(),
-        parts: vec![CodeMap::default(); n_shards],
-    };
-    for pos in lo..hi {
-        let row_id = view.row_id(pos);
-        for scan in scans {
-            let key = view.key(pos, &scan.x);
-            for member in &scan.members {
-                let cell = &cells[member.ci];
-                if !cell.lhs_matches(key.as_slice().iter().copied()) {
-                    continue;
-                }
-                if !cell.rhs_matches(member.check.iter().map(|a| view.code(pos, *a))) {
-                    out.sv.push((row_id, member.ci));
-                }
-                if member.grouped() {
-                    let shard = if n_shards == 1 {
-                        0
-                    } else {
-                        shard_of(member.ci, &key, n_shards)
-                    };
-                    let y = view.key(pos, &member.group);
-                    let state = out.parts[shard]
-                        .entry((member.ci, key.clone()))
-                        .or_default();
-                    *state.y_counts.entry(y).or_insert(0) += 1;
-                    state.rows.push(row_id);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// What one phase-2 worker produces for its shard.
-struct ShardOut {
-    groups: CodeMap<GroupKey, GroupState>,
-    mv_rows: Vec<RowId>,
-    mv_groups: Vec<MvEvidence>,
-}
-
-/// Phase 2: merges one shard's partial group states (in chunk order, so
-/// member lists end up in global row order) and derives the multi-tuple
-/// violations.
-fn merge_shard(
-    parts: Vec<CodeMap<GroupKey, GroupState>>,
-    provenance: &[(usize, usize)],
-    dict: &Dictionary,
-) -> ShardOut {
-    let mut iter = parts.into_iter();
-    let mut groups = iter.next().unwrap_or_default();
-    for part in iter {
-        for (key, state) in part {
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let merged = e.get_mut();
-                    for (y, count) in state.y_counts {
-                        *merged.y_counts.entry(y).or_insert(0) += count;
-                    }
-                    merged.rows.extend(state.rows);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(state);
-                }
-            }
-        }
-    }
-    let mut mv_rows = Vec::new();
-    let mut mv_groups = Vec::new();
-    for ((ci, key), state) in &groups {
-        if state.violates() {
-            mv_rows.extend(state.rows.iter().copied());
-            let (constraint, pattern) = provenance[*ci];
-            mv_groups.push(MvEvidence {
-                source: ConstraintRef::new(constraint, pattern),
-                group_key: dict.decode_all(key.as_slice()),
-                rows: state.rows.iter().copied().collect(),
-            });
-        }
-    }
-    ShardOut {
-        groups,
-        mv_rows,
-        mv_groups,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn thread_clamp_matches_the_semantic_detectors() {
-        assert_eq!(effective_threads(Parallelism::Fixed(8), 10, 4), 1);
-        assert_eq!(effective_threads(Parallelism::Fixed(1), 1_000_000, 100), 1);
-        assert_eq!(effective_threads(Parallelism::Fixed(4), 100_000, 100), 4);
-        assert_eq!(effective_threads(Parallelism::Fixed(8), 1_000, 10), 2);
-    }
-
-    #[test]
-    fn ranges_cover_exactly_once() {
-        for (n, parts) in [(0usize, 3usize), (7, 3), (9, 3), (2, 5), (100, 1)] {
-            let ranges = split_ranges(n, parts);
-            assert_eq!(ranges.len(), parts);
-            let mut expect = 0;
-            for (lo, hi) in &ranges {
-                assert_eq!(*lo, expect);
-                expect = *hi;
-            }
-            assert_eq!(expect, n);
-        }
+        write_flags(catalog, &self.table, &outcome.report)?;
+        Ok(outcome)
     }
 }

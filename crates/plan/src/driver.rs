@@ -12,9 +12,8 @@ use ecfd_relation::Catalog;
 /// The execution strategy a [`Driver`] implements for plan operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Capability {
-    /// Operators are interpreted natively over the dictionary-coded columnar
-    /// core, with the two-phase sharded parallel scan
-    /// ([`crate::ColumnarDriver`]).
+    /// Operators run natively over the dictionary-coded columnar core
+    /// through the group-then-match engine ([`crate::ColumnarDriver`]).
     ColumnarScan,
     /// The whole plan is pushed down through the SQL rewriting path and
     /// executed by the relational engine ([`crate::SqlDriver`]).
@@ -40,8 +39,8 @@ pub struct ExecOutcome {
     pub report: DetectionReport,
     /// Per-violation evidence, normalized.
     pub evidence: EvidenceReport,
-    /// Number of `X` groups the execution materialized (merged across
-    /// shards), for `detect.groups.merged`.
+    /// Number of group ids the execution assigned, summed over its scans'
+    /// `X` lists, for `detect.groups.merged`.
     pub groups: u64,
     /// Number of row visits the execution performed, for
     /// `detect.rows.scanned`.

@@ -21,6 +21,7 @@ use crate::mir::{FlagNode, Plan, ScanNode};
 use crate::Result;
 use ecfd_core::matching::BoundECfd;
 use ecfd_core::ConstraintSet;
+use ecfd_detect::engine::Member;
 use ecfd_relation::AttrId;
 
 /// The lowered form of one split single-pattern constraint: a logical
@@ -60,11 +61,13 @@ impl HirNode {
     /// The MIR flag operator this node lowers to.
     pub(crate) fn flag(&self) -> FlagNode {
         FlagNode {
-            ci: self.ci,
+            member: Member {
+                ci: self.ci,
+                check: self.check.clone(),
+                group: self.group.clone(),
+            },
             source: self.source,
-            check: self.check.clone(),
             check_names: self.check_names.clone(),
-            group: self.group.clone(),
             group_names: self.group_names.clone(),
         }
     }

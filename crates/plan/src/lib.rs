@@ -17,14 +17,15 @@
 //! 2. **Plan** ([`Hir::optimize`]): the HIR is optimized into a [`Plan`]
 //!    (the MIR). The headline rewrite is *shared scans*: constraints whose
 //!    `X` attribute lists are identical fuse into one grouped [`ScanNode`]
-//!    feeding multiple [`FlagNode`] operators, so the per-row `X` projection
-//!    is computed once per scan instead of once per constraint.
+//!    feeding multiple [`FlagNode`] operators, so the rows are grouped on
+//!    `X` once per scan instead of once per constraint.
 //!    [`Hir::sequential`] produces the unfused baseline plan (one scan per
 //!    constraint) the benchmarks compare against.
 //! 3. **Execute** ([`Driver`]): a plan runs against any driver advertising a
-//!    [`Capability`] — [`ColumnarDriver`] executes the operators over the
-//!    dictionary-coded columnar core with the same two-phase sharded
-//!    parallel scan as the semantic detector, [`SqlDriver`] pushes the whole
+//!    [`Capability`] — [`ColumnarDriver`] runs the plan's scans through the
+//!    detection layer's group-then-match engine (`ecfd_detect::engine`, the
+//!    same engine as the semantic detector), which matches patterns once per
+//!    `X` group rather than once per row; [`SqlDriver`] pushes the whole
 //!    plan down through the `BATCHDETECT` SQL path ([`Capability::PushdownSql`]).
 //!
 //! [`PlanBackend`] packages a plan plus a driver behind the ordinary

@@ -15,29 +15,23 @@
 use crate::hir;
 use crate::Result;
 use ecfd_core::ConstraintSet;
+use ecfd_detect::engine::Member;
 use ecfd_relation::AttrId;
 use std::fmt::Write as _;
 
-/// One flag operator: the per-row work a driver performs for a single split
-/// single-pattern constraint once the enclosing scan's `X` projection is in
-/// hand.
+/// One flag operator: the work a driver performs for a single split
+/// single-pattern constraint within the enclosing scan's `X` groups.
 #[derive(Debug, Clone)]
 pub struct FlagNode {
-    /// Index into the set's split single-pattern constraint list — also the
-    /// index of the coded pattern cells a driver matches for this operator.
-    pub ci: usize,
+    /// The engine operator: split-constraint index, `Y ∪ Yp` positions (the
+    /// single-tuple check) and `Y` positions (empty without an embedded FD).
+    pub member: Member,
     /// `(constraint, pattern)` provenance in the user's original set, for
     /// evidence attribution.
     pub source: (usize, usize),
-    /// Positions of the `Y ∪ Yp` attributes in tableau cell order (the
-    /// single-tuple violation check).
-    pub check: Vec<AttrId>,
-    /// Names of the checked attributes, parallel to [`FlagNode::check`].
+    /// Names of the checked attributes, parallel to `member.check`.
     pub check_names: Vec<String>,
-    /// Positions of the `Y` attributes (the embedded-FD projection); empty
-    /// for pure pattern constraints, which skip group bookkeeping entirely.
-    pub group: Vec<AttrId>,
-    /// Names of the grouped attributes, parallel to [`FlagNode::group`].
+    /// Names of the grouped attributes, parallel to `member.group`.
     pub group_names: Vec<String>,
 }
 
@@ -45,19 +39,21 @@ impl FlagNode {
     /// Whether this operator maintains per-group state (the embedded FD has
     /// a right-hand side).
     pub fn grouped(&self) -> bool {
-        !self.group.is_empty()
+        !self.member.group.is_empty()
     }
 }
 
-/// One scan operator: a single pass over the table projecting the `X`
-/// attribute list once per row, feeding every member flag operator.
+/// One scan operator: the rows grouped once on the `X` attribute list,
+/// feeding every member flag operator. The columnar driver runs each scan
+/// as one group-then-match engine scan (`ecfd_detect::engine::Scan`):
+/// member patterns are matched once per group, not once per row.
 ///
 /// In a *fused* plan ([`Plan::compile`]) all constraints with an identical
 /// `X` list share one scan; in the *unfused* baseline
 /// ([`Plan::compile_unfused`]) every constraint gets its own.
 #[derive(Debug, Clone)]
 pub struct ScanNode {
-    /// Positions of the shared `X` attributes this scan projects per row.
+    /// Positions of the shared `X` attributes this scan groups on.
     pub x: Vec<AttrId>,
     /// Names of the `X` attributes, parallel to [`ScanNode::x`].
     pub x_names: Vec<String>,
@@ -111,8 +107,8 @@ impl Plan {
         self.fused
     }
 
-    /// Number of scan operators (passes a naive interpreter would make;
-    /// the fused executor still makes exactly one physical pass).
+    /// Number of scan operators: the grouping passes the columnar driver
+    /// makes, one per distinct `X` list in a fused plan.
     pub fn num_scans(&self) -> usize {
         self.scans.len()
     }

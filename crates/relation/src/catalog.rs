@@ -9,9 +9,8 @@
 use crate::error::{RelationError, Result};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A named collection of relations.
 #[derive(Debug, Default, Clone)]
@@ -107,19 +106,20 @@ impl SharedCatalog {
         }
     }
 
-    /// Runs a closure with shared (read) access to the catalog.
+    /// Runs a closure with shared (read) access to the catalog. A lock
+    /// poisoned by a panicking writer is recovered rather than propagated.
     pub fn read<R>(&self, f: impl FnOnce(&Catalog) -> R) -> R {
-        f(&self.inner.read())
+        f(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Runs a closure with exclusive (write) access to the catalog.
     pub fn write<R>(&self, f: impl FnOnce(&mut Catalog) -> R) -> R {
-        f(&mut self.inner.write())
+        f(&mut self.inner.write().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Clones the current catalog contents (snapshot).
     pub fn snapshot(&self) -> Catalog {
-        self.inner.read().clone()
+        self.read(Catalog::clone)
     }
 }
 

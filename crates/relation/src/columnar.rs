@@ -365,9 +365,8 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed by codes / code keys with the deterministic fast hasher.
 pub type CodeMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// Deterministically hashes a constraint index plus a code key — used to
-/// assign enforcement groups to shards so that every member of a group lands
-/// on the same shard regardless of which worker scanned it.
+/// Deterministically hashes a constraint index plus a code key to a shard
+/// index: equal `(ci, key)` pairs always land on the same shard.
 pub fn shard_of(ci: usize, key: &CodeVec, num_shards: usize) -> usize {
     debug_assert!(num_shards > 0);
     let mut h = FxHasher::default();

@@ -14,7 +14,7 @@ use ecfd_detect::{BackendKind, Parallelism};
 ///
 /// Full passes default to the native semantic backend — since the
 /// dictionary-encoded columnar refactor it is the system's fast path (coded
-/// pattern matching, sharded parallel scan), while the SQL backend remains
+/// pattern matching, group-then-match engine), while the SQL backend remains
 /// the paper-faithful reference implementation, selectable explicitly or via
 /// [`RoutingPolicy::fixed`].
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -17,7 +17,7 @@ use ecfd_repair::{
     VerifiedRepair,
 };
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Where a relation sits in the session lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -441,9 +441,7 @@ impl Session {
         let table_len = self.catalog.get(&name)?.len();
         let entry = self.tables.get_mut(&name).expect("resolved");
         let kind = kind.unwrap_or_else(|| self.policy.route_delta(delta.len(), table_len));
-        ecfd_obs::registry()
-            .counter_with("session.apply.routed", &[("backend", kind.as_str())])
-            .inc();
+        routed_counter(kind).inc();
         let (report, evidence) = match entry.backend_mut(kind)?.apply(&mut self.catalog, delta) {
             Ok(out) => out,
             Err(e) => {
@@ -742,4 +740,19 @@ impl std::fmt::Debug for Session {
             .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
+}
+
+/// The `session.apply.routed{backend=…}` counter of `kind`: looked up in the
+/// registry on the first apply routed to that backend, then reused, so the
+/// apply path pays no labelled lookup.
+fn routed_counter(kind: BackendKind) -> &'static ecfd_obs::Counter {
+    static ROUTED: [OnceLock<ecfd_obs::Counter>; BackendKind::ALL.len()] =
+        [const { OnceLock::new() }; BackendKind::ALL.len()];
+    let slot = BackendKind::ALL
+        .iter()
+        .position(|k| *k == kind)
+        .expect("every kind is listed in ALL");
+    ROUTED[slot].get_or_init(|| {
+        ecfd_obs::registry().counter_with("session.apply.routed", &[("backend", kind.as_str())])
+    })
 }

@@ -91,12 +91,15 @@ impl Snapshot {
 
     /// Re-runs detection from scratch over the frozen view — a single-pass,
     /// read-only scan that never touches the live session, takes no lock and
-    /// interns nothing. The result is byte-identical to [`Snapshot::report`]
-    /// (asserted by the serving layer's tests); readers call this to *verify*
-    /// the published state rather than trust it.
+    /// interns nothing. Only the flags are built (see
+    /// [`SemanticDetector::detect_frozen_report`]). The result is
+    /// byte-identical to [`Snapshot::report`] (asserted by the serving
+    /// layer's tests); readers call this to *verify* the published state
+    /// rather than trust it.
     pub fn detect_fresh(&self) -> Result<DetectionReport> {
-        let (report, _) = self.detector.detect_frozen(&self.frozen, &self.schema)?;
-        Ok(report)
+        Ok(self
+            .detector
+            .detect_frozen_report(&self.frozen, &self.schema)?)
     }
 
     /// Like [`Snapshot::detect_fresh`], also re-deriving the evidence.

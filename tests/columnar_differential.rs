@@ -228,3 +228,203 @@ fn incremental_maintenance_tracks_reference_semantics_under_deltas() {
         );
     }
 }
+
+// ── Wider constraint shapes through the group-then-match engine ───────────
+//
+// The engine groups rows once per fused `X` list and decides matches,
+// single-tuple and multi-tuple violations per group. These properties cover
+// the shapes where that can go wrong: multi-attribute and empty `X`,
+// `Yp`-only constraints, several constraints fused on one `X` with
+// different `Y`, and wildcard / `NotIn` LHS cells.
+
+const ZIPS: [&str; 3] = ["zip0", "zip1", "zip2"];
+
+/// `(X, Y, Yp)` constraint shapes over the `cust(CT, AC, ZIP)` schema.
+type Shape = (
+    &'static [&'static str],
+    &'static [&'static str],
+    &'static [&'static str],
+);
+
+const SHAPES: [Shape; 8] = [
+    (&["CT"], &["AC"], &[]),
+    // Fuses with the shape above (same X), different Y.
+    (&["CT"], &["ZIP"], &[]),
+    (&["CT"], &[], &["AC"]),
+    (&["CT", "ZIP"], &["AC"], &[]),
+    (&["CT", "ZIP"], &[], &["AC"]),
+    (&[], &["AC"], &[]),
+    (&[], &[], &["CT"]),
+    (&["AC"], &["CT"], &["ZIP"]),
+];
+
+fn domain(attr: &str) -> &'static [&'static str] {
+    match attr {
+        "CT" => &CITIES,
+        "AC" => &CODES,
+        _ => &ZIPS,
+    }
+}
+
+/// A pattern cell before its attribute is known: kind (wildcard, set,
+/// complement set) plus value indices into the attribute's domain.
+type RawCell = (usize, std::collections::BTreeSet<usize>);
+
+fn arb_raw_cell() -> impl Strategy<Value = RawCell> {
+    (0..3usize, proptest::collection::btree_set(0..5usize, 1..=2))
+}
+
+fn resolve(attr: &str, (kind, picks): &RawCell) -> PatternValue {
+    let values = domain(attr);
+    let picked = picks.iter().map(|i| values[i % values.len()]);
+    match kind {
+        0 => PatternValue::Wildcard,
+        1 => PatternValue::in_set(picked),
+        _ => PatternValue::not_in_set(picked),
+    }
+}
+
+fn names(attrs: &[&str]) -> Vec<String> {
+    attrs.iter().map(|a| a.to_string()).collect()
+}
+
+fn arb_shaped_ecfd() -> impl Strategy<Value = ECfd> {
+    (
+        0..SHAPES.len(),
+        proptest::collection::vec(proptest::collection::vec(arb_raw_cell(), 4), 1..=2),
+    )
+        .prop_map(|(shape, patterns)| {
+            let (x, y, yp) = SHAPES[shape];
+            let tableau = patterns
+                .iter()
+                .map(|raw| {
+                    let mut raw = raw.iter();
+                    let mut next = |attr: &&str| resolve(attr, raw.next().expect("4 cells"));
+                    let lhs = x.iter().map(&mut next).collect();
+                    let rhs = y.iter().chain(yp).map(&mut next).collect();
+                    PatternTuple::new(lhs, rhs)
+                })
+                .collect();
+            ECfd::new("cust", names(x), names(y), names(yp), tableau)
+                .expect("shaped constraints are well-formed")
+        })
+}
+
+/// `data` repeated `times` times: the same groups, with enough rows for the
+/// grouping pass to fan out at 4 workers. Callers pick a `times` that 4 does
+/// not divide, so worker chunks start mid-repetition and see the groups in a
+/// different first-seen order than the whole view does.
+fn amplify(data: &Relation, times: usize) -> Relation {
+    let tuples: Vec<Tuple> = data.iter().map(|(_, t)| t.clone()).collect();
+    Relation::with_tuples(schema(), (0..times).flat_map(|_| tuples.iter().cloned()))
+        .expect("tuples fit the schema")
+}
+
+/// The group map decoded through the detector's dictionary, sorted.
+#[allow(clippy::type_complexity)]
+fn decoded_groups(
+    detector: &SemanticDetector,
+    data: &Relation,
+) -> Vec<(usize, Vec<Value>, Vec<(Vec<Value>, usize)>, Vec<RowId>)> {
+    let (_, groups) = detector.detect_with_groups(data).unwrap();
+    let mut out: Vec<_> = groups
+        .iter()
+        .map(|((ci, key), state)| {
+            let mut y_counts: Vec<(Vec<Value>, usize)> = state
+                .y_counts
+                .iter()
+                .map(|(y, n)| (detector.decode_key(y), *n))
+                .collect();
+            y_counts.sort();
+            (*ci, detector.decode_key(key), y_counts, state.rows.clone())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Report-only detection, the evidence's collapsed report and the
+    /// value-based reference agree on every shape, down to which pattern
+    /// tuple each row violates; evidence and decoded group maps are
+    /// identical at 1 and 4 workers.
+    #[test]
+    fn engine_matches_reference_semantics_on_wider_shapes(
+        data in arb_relation(),
+        constraints in proptest::collection::vec(arb_shaped_ecfd(), 1..5),
+    ) {
+        let reference = check_all(&data, &constraints).unwrap();
+        let expected = DetectionReport::from_violation_set(reference.violations(), data.len());
+        let one = SemanticDetector::new(&schema(), &constraints).unwrap()
+            .with_parallelism(Parallelism::Fixed(1));
+        let four = SemanticDetector::new(&schema(), &constraints).unwrap()
+            .with_parallelism(Parallelism::Fixed(4));
+
+        let report = one.detect(&data).unwrap();
+        let (evidence_report, evidence) = one.detect_with_evidence(&data).unwrap();
+        prop_assert_eq!(&report.sv_rows, &expected.sv_rows);
+        prop_assert_eq!(&report.mv_rows, &expected.mv_rows);
+        prop_assert_eq!(&evidence_report, &report);
+        prop_assert_eq!(&evidence.detection_report(), &report);
+        let pairs = |kind: ViolationKind| -> std::collections::BTreeSet<(RowId, ConstraintRef)> {
+            reference
+                .violations()
+                .violations()
+                .iter()
+                .filter(|v| v.kind == kind)
+                .map(|v| (v.row, ConstraintRef::new(v.constraint, v.pattern)))
+                .collect()
+        };
+        prop_assert_eq!(evidence.sv_pairs(), pairs(ViolationKind::SingleTuple));
+        prop_assert_eq!(evidence.mv_pairs(), pairs(ViolationKind::MultiTuple));
+        let frozen = one.freeze(&data, schema().arity());
+        prop_assert_eq!(&one.detect_frozen_report(&frozen, &schema()).unwrap(), &report);
+
+        let big = amplify(&data, 301);
+        let (report_1, evidence_1) = one.detect_with_evidence(&big).unwrap();
+        let (report_4, evidence_4) = four.detect_with_evidence(&big).unwrap();
+        prop_assert_eq!(&report_1, &report_4);
+        prop_assert_eq!(&evidence_1, &evidence_4);
+        prop_assert_eq!(&evidence_1.detection_report(), &report_1);
+        prop_assert_eq!(&four.detect(&big).unwrap(), &report_4);
+        prop_assert_eq!(decoded_groups(&one, &big), decoded_groups(&four, &big));
+    }
+
+    /// After incremental deltas with inserts and deletes, a snapshot's
+    /// report-only re-detection equals its evidence re-detection and the
+    /// published report and evidence.
+    #[test]
+    fn snapshot_report_only_path_matches_evidence_path_after_deltas(
+        data in arb_relation(),
+        constraints in proptest::collection::vec(arb_shaped_ecfd(), 1..5),
+        inserts in proptest::collection::vec(arb_tuple(), 1..8),
+        victims in proptest::collection::vec(0..30usize, 1..4),
+    ) {
+        let mut session = Session::new().with_policy(
+            ecfd::session::RoutingPolicy::fixed(BackendKind::Incremental)
+                .with_parallelism(Parallelism::Fixed(4)),
+        );
+        session.load(data.clone()).unwrap();
+        session.register(&constraints).unwrap();
+        session.detect().unwrap();
+        let tuples: Vec<Tuple> = data.iter().map(|(_, t)| t.clone()).collect();
+        for step in 0..2 {
+            let mut delta = Delta::new();
+            delta.insertions = inserts.clone();
+            if !tuples.is_empty() {
+                delta.deletions = victims
+                    .iter()
+                    .map(|i| tuples[(i + step) % tuples.len()].clone())
+                    .collect();
+            }
+            session.apply(&delta).unwrap();
+            let snap = session.snapshot().unwrap();
+            let (fresh, fresh_evidence) = snap.detect_fresh_with_evidence().unwrap();
+            prop_assert_eq!(&snap.detect_fresh().unwrap(), &fresh);
+            prop_assert_eq!(snap.report(), &fresh);
+            prop_assert_eq!(&snap.evidence().normalized(), &fresh_evidence);
+        }
+    }
+}
